@@ -20,7 +20,6 @@ from .group import (
 )
 from .schreier import (
     Block,
-    GrayCodeTable,
     LabeledGraph,
     block_graph,
     build_gamma_orbit,
@@ -28,7 +27,6 @@ from .schreier import (
     delta_block,
     export_dot,
     glue,
-    gray_code,
     gray_index,
     parse_dot,
     ray_at,
@@ -45,7 +43,6 @@ from .subshift import (
     is_admissible,
     language,
     morse_hedlund_check,
-    occurring_symbols_from,
     render_word,
     uniform_recurrence_radius,
 )

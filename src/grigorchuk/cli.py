@@ -183,11 +183,7 @@ def cmd_double(args) -> int:
 
 def cmd_verify(args) -> int:
     specs = tuple(args.omega) if args.omega else battery.DEFAULT_SUITE
-    try:
-        results = battery.run_battery(specs, seed=args.seed, quick=args.quick)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
+    results = battery.run_battery(specs, seed=args.seed, quick=args.quick)
     if args.format == "json":
         payload = {
             "omegas": list(specs),
@@ -214,6 +210,10 @@ def cmd_export(args) -> int:
     omega = parse_omega(args.omega)
     lo, _, hi = args.levels.partition(":")
     start, stop = int(lo), int(hi or lo)
+    if not 1 <= start <= stop:
+        print(f"error: level range must satisfy 1 <= lo <= hi, got {args.levels!r}",
+              file=sys.stderr)
+        return EXIT_USAGE
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     tag = omega.spec().replace(":", "_")

@@ -15,7 +15,7 @@ from functools import reduce
 from .group import GEN_SYMBOL, Ray, apply_word, find_moved_vertex, is_trivial
 from .omega import EventuallyConstantOmegaError, OmegaSequence
 from .schreier import gray_index, ray_at
-from .subshift import MARKER, gamma_word, interleave, language
+from .subshift import MARKER, _block_letters, gamma_word, interleave, language
 
 _LABEL_CAP = 120
 
@@ -280,8 +280,7 @@ def schreier_window(omega: OmegaSequence, center: int, radius: int) -> Window:
     """The radius-r window of the half-line graph around vertex `center`."""
     if center < radius:
         raise ValueError("window would leave the half-line")
-    letters = gamma_word(omega, center + radius)
-    return Window(radius, letters[center - radius : center + radius])
+    return Window(radius, _block_letters(omega, center - radius + 1, center + radius))
 
 
 def injectivity_witness(word: str, omega: OmegaSequence) -> Window | None:

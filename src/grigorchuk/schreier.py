@@ -1,5 +1,6 @@
 """Schreier graphs of the rho-orbit, built two independent ways, plus the
-Gray code machinery that orders the orbit by distance from rho."""
+positional Gray order (rank and unrank) that orders the orbit by distance
+from rho."""
 
 from __future__ import annotations
 
@@ -67,26 +68,6 @@ def glue(g1: LabeledGraph, g2: LabeledGraph) -> LabeledGraph:
     return LabeledGraph.make(g1.n + g2.n - 1, edges)
 
 
-@dataclass(frozen=True)
-class GrayCodeTable:
-    level: int
-    strings: tuple[str, ...]
-
-
-@lru_cache(maxsize=64)
-def gray_code(level: int) -> GrayCodeTable:
-    """Binary strings of the given length in the (1/0-exchanged) reflected
-    order: the first half appends 1 to the previous level, the second half
-    appends 0 to the previous level reversed."""
-    if level < 1:
-        raise ValueError("level must be >= 1")
-    if level == 1:
-        return GrayCodeTable(1, ("1", "0"))
-    prev = gray_code(level - 1).strings
-    strings = tuple(s + "1" for s in prev) + tuple(s + "0" for s in reversed(prev))
-    return GrayCodeTable(level, strings)
-
-
 def gray_rank(bits: str) -> int:
     """Position of a binary string within the Gray order of its own length."""
     if not bits or set(bits) - {"0", "1"}:
@@ -110,28 +91,33 @@ def rho_enumeration(count: int) -> list[Ray]:
     """The first `count` orbit points in Gray order, as canonical rays."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    level = max(1, (count - 1).bit_length())
-    return [Ray(s) for s in gray_code(level).strings[:count]]
+    return [ray_at(j) for j in range(count)]
 
 
 def ray_at(index: int) -> Ray:
-    """The orbit point with the given Gray index."""
+    """The orbit point with the given Gray index: the inverse of `gray_rank`,
+    reading the bits from the last one down. Before bit i is appended the rank
+    is below 2^i, so a rank at or above 2^i means bit i is 0 and the rank was
+    reflected from 2^(i+1) - 1 - rank."""
     if index < 0:
         raise ValueError("index must be >= 0")
-    level = max(1, index.bit_length())
-    return Ray(gray_code(level).strings[index])
+    rank = index
+    bits = []
+    for i in reversed(range(index.bit_length())):
+        if rank >= 1 << i:
+            bits.append("0")
+            rank = (1 << (i + 1)) - 1 - rank
+        else:
+            bits.append("1")
+    return Ray("".join(reversed(bits)))
 
 
 def ruler_a(i: int) -> int:
-    """The ruler sequence 1,2,1,3,1,2,1,4,...: value n+1 at i = 2^n, mirrored
-    between consecutive powers of two."""
+    """The ruler sequence 1,2,1,3,1,2,1,4,...: one plus the 2-adic valuation
+    of i."""
     if i < 1:
         raise ValueError("index must be >= 1")
-    while True:
-        n = i.bit_length() - 1
-        if i == 1 << n:
-            return n + 1
-        i = (1 << (n + 1)) - i
+    return (i & -i).bit_length()
 
 
 def delta_block(omega: OmegaSequence, i: int) -> Block:

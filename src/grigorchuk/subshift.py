@@ -31,17 +31,18 @@ def _require_not_constant(omega: OmegaSequence) -> None:
         )
 
 
+def _block_letters(omega: OmegaSequence, first: int, last: int) -> str:
+    """Letters at positions first..last of the infinite block word: Theta at
+    odd positions, the i-th double-edge block Lambda_{omega(ruler(i))} at
+    position 2i."""
+    return "".join(
+        ["T" if p % 2 else str(omega.at(ruler_a(p // 2))) for p in range(first, last + 1)]
+    )
+
+
 def gamma_word(omega: OmegaSequence, letter_count: int) -> str:
-    """Prefix of the infinite block word: Theta at odd positions, the i-th
-    double-edge block Lambda_{omega(ruler(i))} at position 2i."""
-    out = []
-    for p in range(1, letter_count + 1):
-        out.append("T" if p % 2 else str(omega.at(ruler_a(p // 2))))
-    return "".join(out)
-
-
-def occurring_symbols_from(omega: OmegaSequence, start: int) -> frozenset[int]:
-    return omega.symbols_from(start)
+    """Prefix of the infinite block word, `letter_count` letters long."""
+    return _block_letters(omega, 1, letter_count)
 
 
 def _level_for(n: int) -> int:

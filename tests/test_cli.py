@@ -1,10 +1,14 @@
 """CLI surface tests: subcommands, exit codes, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+from grigorchuk import subshift
 from grigorchuk.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -129,6 +133,22 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--omega", "0:1", "--quick")
         assert code == 3 and "eventually constant" in err
 
+    def test_bad_omega_exits_2(self, capsys):
+        code, _, err = run(capsys, "verify", "--omega", "xyz", "--quick")
+        assert code == 2 and "omega" in err
+
+    def test_raising_check_is_a_failure(self, capsys, monkeypatch):
+        def broken(omega, n):
+            raise RuntimeError("injected fault")
+
+        monkeypatch.setattr(subshift, "complexity", broken)
+        code, out, _ = run(capsys, "verify", "--quick")
+        assert code == 1
+        results = [line for line in out.splitlines() if line.startswith(("PASS ", "FAIL "))]
+        assert len(results) == 12
+        assert "FAIL complexity_bounds: raised RuntimeError: injected fault" in results
+        assert out.strip().endswith("RESULT: FAIL")
+
 
 class TestExport:
     def test_writes_files(self, capsys, tmp_path):
@@ -137,6 +157,23 @@ class TestExport:
         assert code == 0
         files = sorted(p.name for p in tmp_path.iterdir())
         assert files == ["gamma_2_01_n1.dot", "gamma_2_01_n2.dot", "gamma_2_01_n3.dot"]
+
+    def test_golden_files(self, capsys, tmp_path):
+        # the golden files are regenerated by exactly this command
+        code, _, _ = run(capsys, "export", "--omega", "012", "--levels", "1:6",
+                         "--outdir", str(tmp_path))
+        assert code == 0
+        golden = sorted(p.name for p in GOLDEN.iterdir())
+        assert sorted(p.name for p in tmp_path.iterdir()) == golden
+        for name in golden:
+            assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
+
+    def test_reversed_range_exits_2(self, capsys, tmp_path):
+        outdir = tmp_path / "out"
+        code, _, err = run(capsys, "export", "--omega", "012", "--levels", "3:1",
+                           "--outdir", str(outdir))
+        assert code == 2 and "level range" in err
+        assert not outdir.exists()
 
 
 def test_usage_error_exits_2(capsys):

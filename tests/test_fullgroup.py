@@ -182,6 +182,13 @@ class TestWitnesses:
                 assert window is not None
                 assert embed_word(word, w).cocycle(window) != 0
 
+    def test_deep_preperiod(self):
+        # b moves the marked vertex exactly when the adjacent double-edge
+        # block is Lambda_0 or Lambda_1; the witness sits near vertex 2^61
+        window = injectivity_witness("b", parse_omega("2" * 60 + ":01"))
+        assert window.radius == 1
+        assert sorted(window.letters) in (["0", "T"], ["1", "T"])
+
     def test_witness_magnitude_is_displacement(self, omega012):
         # spot check: the witness cocycle equals a schreier displacement size
         word = "ab"
@@ -382,11 +389,17 @@ class TestDump:
 
 
 class TestSchreierWindow:
-    def test_matches_gamma_letters(self, omega012):
+    def test_matches_gamma_letters(self, suite):
+        # the window reads its own letters; the block word prefix is the oracle
         from grigorchuk import gamma_word
 
-        window = schreier_window(omega012, 6, 2)
-        assert window.letters == gamma_word(omega012, 8)[4:8]
+        for w in suite:
+            for k in range(1, 12):
+                for center in range((1 << k) - 2, (1 << k) + 3):
+                    for radius in range(1, min(center, 4) + 1):
+                        window = schreier_window(w, center, radius)
+                        expected = gamma_word(w, center + radius)[center - radius :]
+                        assert window.letters == expected
 
     def test_rejects_overhang(self, omega012):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ builders, and the Gray code order."""
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from grigorchuk import (
     Block,
@@ -18,7 +18,6 @@ from grigorchuk import (
     export_dot,
     fixing_generator,
     glue,
-    gray_code,
     gray_index,
     parse_dot,
     parse_omega,
@@ -28,6 +27,7 @@ from grigorchuk import (
     self_similarity_check,
 )
 from grigorchuk.omega import OmegaSequence
+from grigorchuk.schreier import gray_rank
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -87,22 +87,43 @@ class TestGlue:
         assert g.leftmost == 0 and g.rightmost == g.n - 1
 
 
+def reflected_gray(level: int) -> tuple[str, ...]:
+    """Independent oracle for the Gray order: binary strings of the given
+    length in the (1/0-exchanged) reflected order. The first half appends 1 to
+    the previous level, the second half appends 0 to the previous level
+    reversed."""
+    if level == 1:
+        return ("1", "0")
+    prev = reflected_gray(level - 1)
+    return tuple(s + "1" for s in prev) + tuple(s + "0" for s in reversed(prev))
+
+
+def unranked(level: int) -> tuple[str, ...]:
+    """The Gray order of the given length read off `ray_at`, trailing 1s
+    restored."""
+    return tuple(ray_at(j).prefix.ljust(level, "1") for j in range(1 << level))
+
+
 class TestGrayCode:
     def test_level_1(self):
-        assert gray_code(1).strings == ("1", "0")
+        assert unranked(1) == ("1", "0")
 
     def test_level_2(self):
-        assert gray_code(2).strings == ("11", "01", "00", "10")
+        assert unranked(2) == ("11", "01", "00", "10")
 
     def test_level_4_published_listing(self):
-        assert gray_code(4).strings == (
+        assert unranked(4) == (
             "1111", "0111", "0011", "1011", "1001", "0001", "0101", "1101",
             "1100", "0100", "0000", "1000", "1010", "0010", "0110", "1110",
         )
 
+    @pytest.mark.parametrize("level", range(1, 13))
+    def test_unrank_matches_reflected_construction(self, level):
+        assert unranked(level) == reflected_gray(level)
+
     @given(st.integers(min_value=1, max_value=10))
     def test_consecutive_strings_differ_in_one_bit(self, level):
-        strings = gray_code(level).strings
+        strings = unranked(level)
         assert strings[0] == "1" * level
         assert len(set(strings)) == 1 << level
         for s, t in zip(strings, strings[1:]):
@@ -110,12 +131,16 @@ class TestGrayCode:
 
     @given(st.integers(min_value=1, max_value=9))
     def test_rank_inverts_enumeration(self, level):
-        from grigorchuk.schreier import gray_rank
-
-        assert [gray_rank(s) for s in gray_code(level).strings] == list(range(1 << level))
+        assert [gray_rank(s) for s in reflected_gray(level)] == list(range(1 << level))
         # the rank is stable under the trailing-1 padding that defines rays
-        for j, s in enumerate(gray_code(level).strings):
+        for j, s in enumerate(reflected_gray(level)):
             assert gray_index(Ray(s)) == j
+
+    @given(st.integers(min_value=1, max_value=1 << 64))
+    @example(1 << 60)
+    @example((1 << 64) - 1)
+    def test_rank_inverts_unrank(self, j):
+        assert gray_rank(ray_at(j).prefix) == j
 
 
 class TestRhoEnumeration:

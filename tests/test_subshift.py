@@ -14,7 +14,6 @@ from grigorchuk import (
     is_admissible,
     language,
     morse_hedlund_check,
-    occurring_symbols_from,
     parse_omega,
     render_word,
     ruler_a,
@@ -86,8 +85,8 @@ class TestLanguage:
             language(parse_omega("0:1"), 3)
 
     def test_occurring_symbols(self):
-        assert occurring_symbols_from(parse_omega("2:0112"), 2) == {0, 1, 2}
-        assert occurring_symbols_from(parse_omega("2:01"), 2) == {0, 1}
+        assert parse_omega("2:0112").symbols_from(2) == {0, 1, 2}
+        assert parse_omega("2:01").symbols_from(2) == {0, 1}
 
 
 class TestComplexity:
