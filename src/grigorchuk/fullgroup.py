@@ -1,5 +1,6 @@
 """Elements of the topological full group of the subshift, represented as
-formal words of primitives with locally constant integer cocycles.
+flat cocycle programs: sequences of primitives with locally constant integer
+cocycles, run in the order they act.
 
 Window convention: a radius-r window stores the 2r letters at positions
 -r..r-1 around the marked vertex 0, the letter at position i being the block
@@ -10,12 +11,14 @@ the marked vertex, so the element acts as x -> shift^{n(x)}(x).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from math import lcm
 
 from .group import GEN_SYMBOL, Ray, apply_word, find_moved_vertex, is_trivial
 from .omega import EventuallyConstantOmegaError, OmegaSequence
 from .schreier import gray_index, ray_at
-from .subshift import MARKER, _block_letters, gamma_word, interleave, language
+from .subshift import (
+    MARKER, _block_letters, gamma_word, interleave, language, uniform_recurrence_radius,
+)
 
 _LABEL_CAP = 120
 
@@ -73,27 +76,31 @@ def iter_windows(omega: OmegaSequence, length: int, tag: str = "A"):
 
 
 class FullGroupElement:
-    """Formal expression over the primitive set with a memoized cocycle table.
+    """A flat cocycle program: primitive factors in the order they act.
+
+    The product's cocycle is the running sum n += f(x + n) over the factors.
+    Each factor is a tuple (kind, radius, bound, *data) with kind one of gen,
+    shift, tau, sigma, ret and dbl (whose data holds its child element).
 
     radius: windows of this radius determine the cocycle.
     dbound: the cocycle never exceeds this in absolute value.
-
-    The table fills lazily; entries are pure functions of the window, so
-    concurrent fills can only ever insert identical values.
     """
 
-    __slots__ = ("omega", "tag", "radius", "dbound", "kind", "data", "children", "label", "_memo")
+    __slots__ = ("omega", "tag", "factors", "radius", "dbound", "label")
 
-    def __init__(self, omega, tag, radius, dbound, kind, data=(), children=(), label="?"):
+    def __init__(self, omega, tag, factors, label="?"):
         self.omega = omega
         self.tag = tag
+        self.factors = tuple(factors)
+        # factor k reads its own radius around the point the earlier factors
+        # moved the marked vertex to, at most their summed bounds away
+        radius, dbound = 1, 0
+        for _, r, d, *_ in self.factors:
+            radius = max(radius, dbound + r)
+            dbound += d
         self.radius = radius
         self.dbound = dbound
-        self.kind = kind
-        self.data = data
-        self.children = children
         self.label = label if len(label) <= _LABEL_CAP else label[: _LABEL_CAP - 3] + "..."
-        self._memo: dict[str, int] = {}
 
     def __repr__(self) -> str:
         return f"<FullGroupElement {self.label} r={self.radius} d={self.dbound}>"
@@ -106,74 +113,80 @@ class FullGroupElement:
         return self._eval(window.letters, window.radius)
 
     def _eval(self, letters: str, center: int) -> int:
-        if center - self.radius < 0 or center + self.radius > len(letters):
-            raise InsufficientWindowError(
-                f"window [{-center}, {len(letters) - center}) too small for radius "
-                f"{self.radius} at the shifted position"
-            )
-        key = letters[center - self.radius : center + self.radius]
-        memo = self._memo
-        if key in memo:
-            return memo[key]
-        n = self._compute(key, self.radius)
+        """The cocycle at the marked vertex `center` of `letters`. Raises when
+        the walk reads outside them, so the result is exact for every window
+        that extends `letters`."""
+        n, size = 0, len(letters)
+        for f in self.factors:
+            c = center + n
+            if c < f[1] or c + f[1] > size:
+                raise InsufficientWindowError(
+                    f"window [{-center}, {size - center}) too small for a radius-{f[1]} "
+                    f"factor at displacement {n}"
+                )
+            n += _step(f, letters, c)
         if abs(n) > self.dbound:
             raise RuntimeError(f"displacement {n} exceeds bound {self.dbound} for {self.label}")
-        memo[key] = n
         return n
 
-    def _compute(self, letters: str, center: int) -> int:
-        kind = self.kind
-        if kind == "mul":
-            g, h = self.children
-            nh = h._eval(letters, center)
-            return nh + g._eval(letters, center + nh)
-        if kind == "gen":
-            f = self.data[0]
-            prev, cur = letters[center - 1], letters[center]
-            if f == "a":
-                return 1 if cur == "T" else -1
-            lam, on_right = (cur, True) if cur != "T" else (prev, False)
-            if GEN_SYMBOL[f] == int(lam):
-                return 0  # f is the loop label of the adjacent double-edge block
-            return 1 if on_right else -1
-        if kind == "id":
-            return 0
-        if kind == "shift":
-            return self.data[0]
-        if kind == "tau":
-            return 1 if letters[center] == MARKER else -1
-        if kind == "sigma":
-            u, ofs, i, j = self.data
-            if self._match(letters, center, u, ofs - i):
-                return j - i
-            if self._match(letters, center, u, ofs - j):
-                return i - j
-            return 0
-        if kind == "ret":
-            u, ofs, bound, sign = self.data
-            if not self._match(letters, center, u, ofs):
-                return 0
-            for k in range(1, bound + 1):
-                if self._match(letters, center, u, ofs + sign * k):
-                    return sign * k
-            raise RuntimeError(
-                f"no return of {u!r} within bound {bound}; widen the recurrence bound"
-            )
-        if kind == "dbl":
-            (child,) = self.children
-            copy = self.data[0]
-            in_copy = (letters[center] != MARKER) == (copy == 1)
-            if not in_copy:
-                return 0
-            rc = child.radius
-            start = center - 2 * rc + (0 if copy == 1 else 1)
-            sub = letters[start : start + 4 * rc : 2]
-            return 2 * child._eval(sub, rc)
-        raise AssertionError(f"unknown kind {kind}")
 
-    @staticmethod
-    def _match(letters: str, center: int, u: str, q: int) -> bool:
-        return letters[center + q : center + q + len(u)] == u
+def _match(letters: str, center: int, u: str, q: int) -> bool:
+    return letters[center + q : center + q + len(u)] == u
+
+
+def _step(f: tuple, letters: str, center: int) -> int:
+    """The cocycle of one primitive factor at the marked vertex `center`."""
+    kind = f[0]
+    if kind == "gen":
+        symbol, cur = f[3], letters[center]
+        if not symbol:  # a: cross the simple-edge block
+            return 1 if cur == "T" else -1
+        if cur != "T":
+            return 0 if cur == symbol else 1
+        return 0 if letters[center - 1] == symbol else -1  # a loop stays put
+    if kind == "shift":
+        return f[3]
+    if kind == "tau":
+        return 1 if letters[center] == MARKER else -1
+    if kind == "sigma":
+        _, _, _, u, ofs, i, j = f
+        if _match(letters, center, u, ofs - i):
+            return j - i
+        if _match(letters, center, u, ofs - j):
+            return i - j
+        return 0
+    if kind == "ret":
+        _, _, bound, u, ofs, sign = f
+        if not _match(letters, center, u, ofs):
+            return 0
+        for k in range(1, bound + 1):
+            if _match(letters, center, u, ofs + sign * k):
+                return sign * k
+        raise RuntimeError(
+            f"no return of {u!r} within bound {bound}; widen the recurrence bound"
+        )
+    if kind == "dbl":
+        copy, child = f[3], f[4]
+        if (letters[center] != MARKER) != (copy == 1):
+            return 0
+        rc = child.radius
+        start = center - 2 * rc + (0 if copy == 1 else 1)
+        return 2 * child._eval(letters[start : start + 4 * rc : 2], rc)
+    raise AssertionError(f"unknown kind {kind}")
+
+
+def _gen(letter: str) -> tuple:
+    """The generator factor; b, c, d carry the block symbol they loop on."""
+    if letter not in "abcd":
+        raise ValueError(f"unknown generator {letter!r}")
+    return ("gen", 1, 1, str(GEN_SYMBOL[letter]) if letter != "a" else "")
+
+
+def _inverse_factor(f: tuple) -> tuple:
+    """gen, tau and sigma are involutions; shift and ret step the other way."""
+    if f[0] == "dbl":
+        return double_element(inverse(f[4]), f[3]).factors[0]
+    return f[:-1] + (-f[-1],) if f[0] in ("shift", "ret") else f
 
 
 def _require_compatible(g: FullGroupElement, h: FullGroupElement) -> None:
@@ -183,97 +196,93 @@ def _require_compatible(g: FullGroupElement, h: FullGroupElement) -> None:
         raise ValueError(f"alphabet mismatch: {g.tag} vs {h.tag}")
 
 
+def _require_not_constant(omega: OmegaSequence) -> None:
+    if omega.is_eventually_constant():
+        raise EventuallyConstantOmegaError(
+            "the subshift embedding requires omega not eventually constant"
+        )
+
+
 def identity_element(omega: OmegaSequence, tag: str = "A") -> FullGroupElement:
-    return FullGroupElement(omega, tag, 1, 0, "id", label="e")
+    return FullGroupElement(omega, tag, (), label="e")
 
 
 def generator_element(letter: str, omega: OmegaSequence) -> FullGroupElement:
     """The image of a generator: translate toward the side whose block carries
     the letter's edge at the marked vertex, or stay put on a loop."""
-    if letter not in "abcd":
-        raise ValueError(f"unknown generator {letter!r}")
-    if omega.is_eventually_constant():
-        raise EventuallyConstantOmegaError(
-            "the subshift embedding requires omega not eventually constant"
-        )
-    return FullGroupElement(omega, "A", 1, 1, "gen", (letter,), label=letter)
+    factor = _gen(letter)
+    _require_not_constant(omega)
+    return FullGroupElement(omega, "A", (factor,), label=letter)
 
 
 def shift_power(k: int, omega: OmegaSequence, tag: str = "A") -> FullGroupElement:
-    return FullGroupElement(omega, tag, 1, abs(k), "shift", (k,), label=f"phi^{k}")
+    return FullGroupElement(omega, tag, (("shift", 1, abs(k), k),), label=f"phi^{k}")
 
 
 def compose(g: FullGroupElement, h: FullGroupElement) -> FullGroupElement:
-    """x -> g(h(x)); the radius is conservative so every inner lookup stays
-    inside the outer window."""
+    """x -> g(h(x)): h's program, then g's."""
     _require_compatible(g, h)
-    radius = max(h.radius, g.radius + h.dbound)
     return FullGroupElement(
-        g.omega, g.tag, radius, g.dbound + h.dbound, "mul",
-        children=(g, h), label=f"({g.label} {h.label})",
+        g.omega, g.tag, h.factors + g.factors, label=f"({g.label} {h.label})"
     )
 
 
 def inverse(e: FullGroupElement) -> FullGroupElement:
-    if e.kind in ("id", "gen", "tau", "sigma"):
-        return e
-    if e.kind == "shift":
-        return shift_power(-e.data[0], e.omega, e.tag)
-    if e.kind == "ret":
-        u, ofs, bound, sign = e.data
-        inv = FullGroupElement(
-            e.omega, e.tag, e.radius, e.dbound, "ret", (u, ofs, bound, -sign),
-            label=f"ret^{-sign}[{u}@{ofs}]",
-        )
-        return inv
-    if e.kind == "dbl":
-        return double_element(inverse(e.children[0]), e.data[0], e.omega)
-    if e.kind == "mul":
-        g, h = e.children
-        return compose(inverse(h), inverse(g))
-    raise AssertionError(f"unknown kind {e.kind}")
+    """The program run backwards, each factor inverted."""
+    factors = tuple(_inverse_factor(f) for f in reversed(e.factors))
+    return FullGroupElement(e.omega, e.tag, factors, label=f"{e.label}^-1")
 
 
-def is_identity(e: FullGroupElement, omega: OmegaSequence | None = None) -> bool:
-    """The cocycle vanishes on every admissible window of the element's radius;
-    this characterizes the identity because the subshift has no periodic
-    points."""
-    if omega is not None and omega != e.omega:
-        raise ValueError("omega mismatch")
-    r = e.radius
-    return all(e._eval(w, r) == 0 for w in iter_windows(e.omega, 2 * r, e.tag))
+def is_identity(e: FullGroupElement) -> bool:
+    """The cocycle vanishes on every admissible window, which characterizes
+    the identity because the subshift has no periodic points: the order is 1."""
+    return element_order_fg(e, 1) == 1
 
 
 def elements_equal(g: FullGroupElement, h: FullGroupElement) -> bool:
-    """Cocycles agree on all admissible windows of the larger radius, which by
-    aperiodicity is exact equality of the underlying homeomorphisms."""
-    _require_compatible(g, h)
-    r = max(g.radius, h.radius)
-    return all(
-        g._eval(w, r) == h._eval(w, r) for w in iter_windows(g.omega, 2 * r, g.tag)
-    )
+    """g = h exactly when h^-1 g is the identity."""
+    return is_identity(compose(inverse(h), g))
 
 
 def embed_word(word: str, omega: OmegaSequence) -> FullGroupElement:
-    """The image of a generator word, rightmost letter acting first."""
-    if omega.is_eventually_constant():
-        raise EventuallyConstantOmegaError(
-            "the subshift embedding requires omega not eventually constant"
-        )
+    """The image of a generator word, rightmost letter acting first. The label
+    is the left-nested product ((a b) c)."""
+    _require_not_constant(omega)
     if not word:
         return identity_element(omega)
-    return reduce(compose, (generator_element(ch, omega) for ch in word))
+    factors = tuple(_gen(ch) for ch in reversed(word))
+    label = "(" * (len(word) - 1) + word[0] + "".join(f" {ch})" for ch in word[1:])
+    return FullGroupElement(omega, "A", factors, label=label)
 
 
 def element_order_fg(e: FullGroupElement, max_order: int) -> int | None:
+    """The least k >= 1 with e^k the identity, or None when it exceeds
+    max_order: the lcm of the marked vertex's return times (displacement 0,
+    as the subshift has no periodic points) over all admissible windows.
+    Windows are read narrow first; a walk that stays inside its window settles
+    every wider window around it, and one that leaves asks for wider windows."""
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
-    acc = e
-    for k in range(1, max_order + 1):
-        if is_identity(acc):
-            return k
-        acc = compose(acc, e)
-    return None
+    widest, r = e.radius + (max_order - 1) * e.dbound, 1
+    while True:
+        r = min(r, widest)
+        order = 1
+        try:
+            for w in iter_windows(e.omega, 2 * r, e.tag):
+                n, t = e._eval(w, r), 1
+                while n and t < max_order:
+                    n += e._eval(w, r + n)
+                    t += 1
+                if n:
+                    return None
+                order = lcm(order, t)
+                if order > max_order:
+                    return None
+            return order
+        except InsufficientWindowError:
+            if r == widest:  # a walk of max_order steps never leaves these
+                raise
+            r *= 2
 
 
 def schreier_window(omega: OmegaSequence, center: int, radius: int) -> Window:
@@ -351,39 +360,31 @@ def swap_involution(cyl: Cylinder, i: int, j: int, omega: OmegaSequence) -> Full
     if _joint_occurrence(cyl.word, j - i, omega):
         raise ValueError(f"shifts {i} and {j} of the cylinder intersect")
     u, ofs = cyl.word, cyl.offset
-    radius = max(1, j - ofs, ofs - i + len(u))
-    return FullGroupElement(
-        omega, "A", radius, j - i, "sigma", (u, ofs, i, j),
-        label=f"sigma[{i},{j};{u}@{ofs}]",
-    )
+    factor = ("sigma", max(1, j - ofs, ofs - i + len(u)), j - i, u, ofs, i, j)
+    return FullGroupElement(omega, "A", (factor,), label=f"sigma[{i},{j};{u}@{ofs}]")
 
 
 def first_return_element(cyl: Cylinder, omega: OmegaSequence) -> FullGroupElement:
     """First-return map of the cylinder, extended by the identity outside it.
     Return times are bounded through the uniform recurrence radius; exceeding
     the bound raises instead of truncating."""
-    from .subshift import uniform_recurrence_radius
-
     _check_cylinder(cyl, omega)
     u, ofs = cyl.word, cyl.offset
     if not u:
         bound = 1  # every point of the full space returns immediately
     else:
         bound = uniform_recurrence_radius(omega, len(u)) - len(u) + 1
-    radius = max(1, abs(ofs) + len(u) + bound)
-    return FullGroupElement(
-        omega, "A", radius, bound, "ret", (u, ofs, bound, 1),
-        label=f"ret[{u}@{ofs}]",
-    )
+    factor = ("ret", max(1, abs(ofs) + len(u) + bound), bound, u, ofs, 1)
+    return FullGroupElement(omega, "A", (factor,), label=f"ret[{u}@{ofs}]")
 
 
 def tau(omega: OmegaSequence) -> FullGroupElement:
     """The doubled-shift involution exchanging the two phase classes without
     moving the underlying point: step forward off a marker, backward onto one."""
-    return FullGroupElement(omega, "B", 1, 1, "tau", label="tau")
+    return FullGroupElement(omega, "B", (("tau", 1, 1),), label="tau")
 
 
-def double_element(e: FullGroupElement, copy: int, omega: OmegaSequence | None = None) -> FullGroupElement:
+def double_element(e: FullGroupElement, copy: int) -> FullGroupElement:
     """Act as `e` through the square of the doubled shift on one phase class,
     identity on the other. Copy 1 is the class whose position-0 letter is
     plain; its point is read off the even positions, copy 2 off the odd ones
@@ -392,12 +393,8 @@ def double_element(e: FullGroupElement, copy: int, omega: OmegaSequence | None =
         raise ValueError("copy must be 1 or 2")
     if e.tag != "A":
         raise ValueError("only plain-alphabet elements can be doubled")
-    if omega is not None and omega != e.omega:
-        raise ValueError("omega mismatch")
-    return FullGroupElement(
-        e.omega, "B", 2 * e.radius, 2 * e.dbound, "dbl", (copy,),
-        children=(e,), label=f"dbl{copy}({e.label})",
-    )
+    factor = ("dbl", 2 * e.radius, 2 * e.dbound, copy, e)
+    return FullGroupElement(e.omega, "B", (factor,), label=f"dbl{copy}({e.label})")
 
 
 def diagonal_element(e: FullGroupElement) -> FullGroupElement:

@@ -75,8 +75,9 @@ class TestWord:
         assert code == 0 and "order: 4" in out
 
     def test_embed_check(self, capsys):
-        code, out, _ = run(capsys, "word", "--omega", "012", "ab", "--embed-check")
-        assert code == 0 and "embedding consistent: True" in out
+        for word in ("ab", "ab" * 300):
+            code, out, _ = run(capsys, "word", "--omega", "012", word, "--embed-check")
+            assert code == 0 and "embedding consistent: True" in out
 
     def test_bad_letters_exit_2(self, capsys):
         code, _, err = run(capsys, "word", "--omega", "012", "xyz")
@@ -95,8 +96,10 @@ class TestBallOrbitEmbedDouble:
         assert "0\trho\t-" in out and "3\t10\tc" in out
 
     def test_embed_witness(self, capsys):
-        code, out, _ = run(capsys, "embed", "--omega", "012", "ab")
-        assert code == 0 and "identity: False" in out and "witness" in out
+        for word in ("ab", "ab" * 300):
+            code, out, _ = run(capsys, "embed", "--omega", "012", word)
+            assert code == 0 and "identity: False" in out
+            assert "witness window (radius" in out and "witness cocycle: " in out
 
     def test_embed_dump(self, capsys):
         code, out, _ = run(capsys, "embed", "--omega", "012", "a", "--dump")

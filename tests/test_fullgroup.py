@@ -38,6 +38,25 @@ from grigorchuk.fullgroup import InsufficientWindowError, iter_windows
 from grigorchuk.omega import EventuallyConstantOmegaError
 
 words = st.text(alphabet="abcd", max_size=8)
+DEEP_PREPERIOD = "2" * 60 + ":01"
+
+
+def full_radius_is_identity(e):
+    """Slow oracle for is_identity: the cocycle at every admissible window of
+    the element's full radius, with no narrow-first reading."""
+    r = e.radius
+    return all(e._eval(w, r) == 0 for w in iter_windows(e.omega, 2 * r, e.tag))
+
+
+def order_by_powers(e, max_order):
+    """Slow oracle for element_order_fg: the least k whose k-fold product is
+    the identity."""
+    acc = e
+    for k in range(1, max_order + 1):
+        if is_identity(acc):
+            return k
+        acc = compose(acc, e)
+    return None
 
 
 class TestGeneratorCocycles:
@@ -145,7 +164,8 @@ class TestEmbedding:
         for w in suite:
             for _ in range(60):
                 word = "".join(rng.choice("abcd") for _ in range(rng.randint(0, 12)))
-                assert is_identity(embed_word(word, w)) == is_trivial(word, w)
+                e = embed_word(word, w)
+                assert is_identity(e) == full_radius_is_identity(e) == is_trivial(word, w)
 
     def test_order_agreement(self, suite):
         rng = random.Random(8)
@@ -157,7 +177,63 @@ class TestEmbedding:
     def test_order_examples(self, omega012):
         assert element_order_fg(generator_element("a", omega012), 8) == 2
         assert element_order_fg(embed_word("ad", omega012), 8) == 4
+        assert element_order_fg(embed_word("ab", omega012), 16) == 16
         assert element_order_fg(identity_element(omega012), 8) == 1
+
+    def test_order_matches_powers_oracle(self, omega012):
+        for word, order in (("a", 2), ("ad", 4), ("ac", 8), ("ab", 16)):
+            e = embed_word(word, omega012)
+            assert element_order_fg(e, 64) == order_by_powers(e, 64) == order
+            assert element_order_fg(e, order - 1) is None
+        cyl = find_disjoint_cylinder(omega012, 3)
+        s01, s12 = swap_involution(cyl, 0, 1, omega012), swap_involution(cyl, 1, 2, omega012)
+        assert element_order_fg(compose(s01, s12), 6) == order_by_powers(compose(s01, s12), 6) == 3
+        r0 = first_return_element(cyl, omega012)
+        assert element_order_fg(r0, 64) is None and order_by_powers(r0, 64) is None
+
+    def test_order_is_lcm_of_return_times(self, omega012):
+        # a 3-cycle and a disjoint transposition: points return after 1, 2 or 3 steps
+        cyl = find_disjoint_cylinder(omega012, 5)
+        s = {(i, j): swap_involution(cyl, i, j, omega012) for i, j in ((0, 1), (1, 2), (3, 4))}
+        e = compose(compose(s[0, 1], s[1, 2]), s[3, 4])
+        assert element_order_fg(e, 12) == order_by_powers(e, 12) == 6
+        assert element_order_fg(e, 5) is None
+
+
+class TestLongWords:
+    """Words of 2000+ letters: flat programs evaluate them with a loop."""
+
+    @pytest.fixture(scope="class")
+    def omegas(self, suite):
+        return (*suite, parse_omega(DEEP_PREPERIOD))
+
+    @staticmethod
+    def _word(rng, length):
+        return "".join(rng.choice("abcd") for _ in range(length))
+
+    def test_word_times_inverse_is_identity(self, omegas):
+        rng = random.Random(31)
+        for w in omegas:
+            u = self._word(rng, 1024)
+            assert is_identity(embed_word(u + u[::-1], w))
+
+    def test_conjugates_match_word_problem_and_have_witnesses(self, omegas):
+        rng = random.Random(32)
+        for w in omegas:
+            u = self._word(rng, 1200)
+            word = u + "a" + u[::-1]
+            e = embed_word(word, w)
+            trivial = is_trivial(word, w)
+            assert is_identity(e) == trivial
+            if not trivial:
+                window = injectivity_witness(word, w)
+                assert window is not None and e.cocycle(window) != 0
+
+    def test_radius_and_label_of_long_product(self, omega012):
+        assert embed_word("abac", omega012).label == "(((a b) a) c)"
+        e = embed_word("ab" * 1200, omega012)
+        assert (e.radius, e.dbound) == (2400, 2400)
+        assert e.label == "(" * 117 + "..."
 
 
 class TestWitnesses:
