@@ -17,7 +17,8 @@ from .group import GEN_SYMBOL, Ray, apply_word, find_moved_vertex, is_trivial
 from .omega import EventuallyConstantOmegaError, OmegaSequence
 from .schreier import gray_index, ray_at
 from .subshift import (
-    MARKER, _block_letters, gamma_word, interleave, language, uniform_recurrence_radius,
+    MARKER, _block_letters, _windows, double_language, is_admissible, language,
+    uniform_recurrence_radius,
 )
 
 _LABEL_CAP = 120
@@ -59,20 +60,11 @@ def iter_windows(omega: OmegaSequence, length: int, tag: str = "A"):
     (deduplicated only while small enough to materialize; duplicates are
     harmless to every consumer)."""
     if tag == "B":
-        for w in sorted(language(omega, (length + 1) // 2)):
-            yield interleave(w, length, z_first=False)
-        for w in sorted(language(omega, length // 2)):
-            yield interleave(w, length, z_first=True)
-        return
-    if length <= 2048:
+        yield from sorted(double_language(omega, length))
+    elif length <= 2048:
         yield from sorted(language(omega, length))
-        return
-    m = max(1, (length - 1).bit_length())
-    b = gamma_word(omega, (1 << m) - 1)
-    for s in sorted(omega.symbols_from(m)):
-        w = f"{b}{s}{b}"
-        for i in range(len(w) - length + 1):
-            yield w[i : i + length]
+    else:
+        yield from _windows(omega, length)
 
 
 class FullGroupElement:
@@ -345,7 +337,7 @@ def find_disjoint_cylinder(omega: OmegaSequence, n: int, max_len: int = 24) -> C
 
 
 def _check_cylinder(cyl: Cylinder, omega: OmegaSequence) -> None:
-    if cyl.word and cyl.word not in language(omega, len(cyl.word)):
+    if cyl.word and not is_admissible(cyl.word, omega):
         raise ValueError(f"cylinder word {cyl.word!r} is not admissible")
 
 

@@ -58,14 +58,15 @@ def block_graph(block: Block) -> LabeledGraph:
 def glue(g1: LabeledGraph, g2: LabeledGraph) -> LabeledGraph:
     """Identify the rightmost vertex of g1 with the leftmost vertex of g2.
 
-    Both operands must be path-ordered (leftmost 0, rightmost n-1), which every
-    graph built in this module is; the result is path-ordered again."""
+    Both operands must be path-ordered (leftmost 0, rightmost n-1) with sorted
+    canonical edges, as every graph built in this module is, and so is the
+    result: the shifted edges of g2 stay sorted, and sorting two runs merges."""
     for g in (g1, g2):
         if g.leftmost != 0 or g.rightmost != g.n - 1:
             raise ValueError("glue expects path-ordered operands")
-    offset = g1.n - 1
-    edges = list(g1.edges) + [(u + offset, v + offset, lab) for u, v, lab in g2.edges]
-    return LabeledGraph.make(g1.n + g2.n - 1, edges)
+    offset, n = g1.n - 1, g1.n + g2.n - 1
+    shifted = [(u + offset, v + offset, lab) for u, v, lab in g2.edges]
+    return LabeledGraph(n, tuple(sorted(g1.edges + tuple(shifted))), 0, n - 1)
 
 
 def gray_rank(bits: str) -> int:

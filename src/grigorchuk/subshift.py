@@ -50,40 +50,49 @@ def _level_for(n: int) -> int:
     return max(1, (n - 1).bit_length())
 
 
+@lru_cache(maxsize=32)
+def _junctions(omega: OmegaSequence, m: int) -> tuple[str, ...]:
+    """The junction words B * Lambda_s * B of level m: B is the block-word
+    prefix of 2^m - 1 letters, s each symbol occurring in omega from position
+    m on, in increasing order. A window of length n <= 2^m meets at most one
+    position divisible by 2^m, so it lies in one junction word, and every
+    junction occurs: their length-n windows are exactly the admissible words,
+    for every ultimately periodic omega (a long-prefix scan is not exact when
+    a symbol first recurs late)."""
+    _require_not_constant(omega)
+    b = gamma_word(omega, (1 << m) - 1)
+    return tuple(f"{b}{s}{b}" for s in sorted(omega.symbols_from(m)))
+
+
+def _windows(omega: OmegaSequence, n: int):
+    """Every admissible word of length n >= 1, junction by junction, repeats included."""
+    for j in _junctions(omega, _level_for(n)):
+        for i in range(len(j) - n + 1):
+            yield j[i : i + n]
+
+
 @lru_cache(maxsize=65536)
 def language(omega: OmegaSequence, n: int) -> frozenset[str]:
-    """The exact set of admissible words of length n.
-
-    Every length-n window of the infinite block word fits inside
-    B * Lambda_s * B where B is the level-(m-1) prefix, n <= 2^m, and s ranges
-    over the symbols occurring in omega from position m on; conversely each
-    such junction occurs, so scanning those few words is exact for every
-    ultimately periodic omega (a long-prefix scan is not, when a symbol first
-    recurs late)."""
+    """The exact set of admissible words of length n (see `_junctions`)."""
     if n < 0:
         raise ValueError("length must be >= 0")
+    _require_not_constant(omega)
     if n == 0:
         return frozenset({""})
-    _require_not_constant(omega)
-    m = _level_for(n)
-    b = gamma_word(omega, (1 << m) - 1)
-    words: set[str] = set()
-    for s in sorted(omega.symbols_from(m)):
-        w = f"{b}{s}{b}"
-        words.update(w[i : i + n] for i in range(len(w) - n + 1))
-    return frozenset(words)
+    return frozenset(_windows(omega, n))
 
 
 def complexity(omega: OmegaSequence, n: int) -> int:
     if n < 1:
         raise ValueError("length must be >= 1")
-    return len(language(omega, n))
+    return len(set(_windows(omega, n)))
 
 
 def is_admissible(word: str, omega: OmegaSequence) -> bool:
+    """Membership is a substring search in the junction words."""
     if set(word) - set(ALPHABET):
         raise ValueError(f"letters must be in {ALPHABET!r}, got {word!r}")
-    return word in language(omega, len(word))
+    return any(word in j for j in _junctions(omega, _level_for(len(word))))
 
 
 def extensions(word: str, omega: OmegaSequence, side: str) -> frozenset[str]:
@@ -98,9 +107,19 @@ def extensions(word: str, omega: OmegaSequence, side: str) -> frozenset[str]:
 
 
 def _covers(omega: OmegaSequence, radius: int, targets: frozenset[str], n: int) -> bool:
-    for w in language(omega, radius):
-        found = {w[i : i + n] for i in range(radius - n + 1)}
-        if not targets <= found:
+    """Every admissible word of length `radius` contains every target, the
+    targets being all admissible words of length n: in each junction word,
+    successive starts of a target, the ends counting as starts -1 and
+    len - n + 1, lie at most radius - n + 1 apart."""
+    gap = radius - n + 1
+    for j in _junctions(omega, _level_for(radius)):
+        end, last = len(j) - n + 1, dict.fromkeys(targets, -1)
+        for i in range(end):
+            u = j[i : i + n]
+            if i - last[u] > gap:
+                return False
+            last[u] = i
+        if any(end - i > gap for i in last.values()):
             return False
     return True
 
@@ -151,29 +170,15 @@ def morse_hedlund_check(omega: OmegaSequence, n: int) -> bool:
     return complexity(omega, n) >= n + 1
 
 
-def interleave(word: str, n: int, z_first: bool) -> str:
-    """Length-n doubled word whose marker letters sit at even (z_first) or odd
-    positions, with `word` supplying the plain letters in order."""
-    out = []
-    k = 0
-    for i in range(n):
-        if (i % 2 == 0) == z_first:
-            out.append(MARKER)
-        else:
-            out.append(word[k])
-            k += 1
-    return "".join(out)
-
-
 @lru_cache(maxsize=16384)
 def double_language(omega: OmegaSequence, n: int) -> frozenset[str]:
-    """Exact factors of the doubled shift: markers interleave an admissible
-    word, and both phase classes contribute."""
+    """Exact factors of the doubled shift, both phase classes: the length-n
+    windows of the junction words with a marker before, between and after
+    their letters."""
     if n < 1:
         raise ValueError("length must be >= 1")
     words: set[str] = set()
-    for w in language(omega, (n + 1) // 2):
-        words.add(interleave(w, n, z_first=False))
-    for w in language(omega, n // 2):
-        words.add(interleave(w, n, z_first=True))
+    for j in _junctions(omega, _level_for((n + 1) // 2)):
+        d = MARKER + MARKER.join(j) + MARKER
+        words.update(d[i : i + n] for i in range(len(d) - n + 1))
     return frozenset(words)

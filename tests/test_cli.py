@@ -50,8 +50,9 @@ class TestLanguage:
         assert len(lines) == 7
 
     def test_eventually_constant_exits_3(self, capsys):
-        code, _, err = run(capsys, "language", "--omega", "0:1", "--n", "2")
-        assert code == 3 and "eventually constant" in err
+        for n in ("0", "2"):
+            code, _, err = run(capsys, "language", "--omega", "0:1", "--n", n)
+            assert code == 3 and "eventually constant" in err
 
 
 class TestComplexity:

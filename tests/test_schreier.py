@@ -86,6 +86,16 @@ class TestGlue:
             assert g.n == expected
         assert g.leftmost == 0 and g.rightmost == g.n - 1
 
+    @pytest.mark.parametrize("left,right", [(Block.L0, Block.L0), (Block.L1, Block.L2)])
+    def test_lambda_lambda_matches_make(self, left, right):
+        # both blocks carry a loop at the shared vertex, so the merged edge
+        # runs interleave there
+        g1, g2 = block_graph(left), block_graph(right)
+        g = glue(g1, g2)
+        combined = list(g1.edges) + [(u + 1, v + 1, lab) for u, v, lab in g2.edges]
+        assert g == LabeledGraph.make(3, combined)
+        assert sum(u == v == 1 for u, v, _ in g.edges) == 2
+
 
 def reflected_gray(level: int) -> tuple[str, ...]:
     """Independent oracle for the Gray order: binary strings of the given

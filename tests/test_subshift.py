@@ -2,6 +2,8 @@
 graph-word prefix; the library computes languages by the level decomposition
 instead, and the two must agree wherever the scan premise holds."""
 
+from itertools import product
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -20,6 +22,7 @@ from grigorchuk import (
     uniform_recurrence_radius,
 )
 from grigorchuk.omega import EventuallyConstantOmegaError
+from grigorchuk.subshift import ALPHABET
 
 
 def scan_factors(omega, n: int) -> frozenset:
@@ -37,6 +40,20 @@ def scan_factors(omega, n: int) -> frozenset:
         worst = max(worst, (1 << (v - 1)) + 1)
     w = gamma_word(omega, (worst + 1) << m)
     return frozenset(w[i : i + n] for i in range(len(w) - n + 1))
+
+
+def interleave(word: str, n: int, z_first: bool) -> str:
+    """Length-n doubled word whose marker letters sit at even (z_first) or odd
+    positions, with `word` supplying the plain letters in order."""
+    out = []
+    k = 0
+    for i in range(n):
+        if (i % 2 == 0) == z_first:
+            out.append("z")
+        else:
+            out.append(word[k])
+            k += 1
+    return "".join(out)
 
 
 class TestGammaWord:
@@ -71,7 +88,9 @@ class TestLanguage:
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 16, 21, 32, 50])
     def test_exactness_against_scan(self, suite, n):
         for w in suite:
-            assert language(w, n) == scan_factors(w, n)
+            factors = scan_factors(w, n)
+            assert language(w, n) == factors
+            assert complexity(w, n) == len(factors)
 
     def test_factor_closure(self, suite):
         for w in suite:
@@ -116,9 +135,18 @@ class TestAdmissibility:
         assert not is_admissible("00", omega012)
 
     def test_factors_of_prefix_admissible(self, omega012):
-        word = gamma_word(omega012, 500)
-        for i in range(0, 480, 7):
-            assert is_admissible(word[i : i + 11], omega012)
+        for n, step in ((11, 7), (300, 37), (1023, 101)):
+            word = gamma_word(omega012, 4 * n)
+            for i in range(0, 3 * n, step):
+                assert is_admissible(word[i : i + n], omega012)
+
+    def test_membership_matches_scan(self, suite):
+        for w in suite:
+            for n in range(1, 7):
+                factors = scan_factors(w, n)
+                for letters in product(ALPHABET, repeat=n):
+                    u = "".join(letters)
+                    assert is_admissible(u, w) == (u in factors)
 
     def test_extensions(self, omega012):
         right_of_theta = extensions("T", omega012, "right")
@@ -140,6 +168,8 @@ class TestAdmissibility:
 class TestRecurrence:
     def test_frozen_radius(self, omega012):
         assert uniform_recurrence_radius(omega012, 1) == 16
+        assert uniform_recurrence_radius(omega012, 64) == 543
+        assert uniform_recurrence_radius(parse_omega("2:01"), 64) == 287
 
     def test_definition_at_frozen_radius(self, omega012):
         # independent re-check of minimality: 16 covers, 15 does not
@@ -166,6 +196,11 @@ class TestRecurrence:
                 for word in language(w, radius):
                     found = {word[i : i + n] for i in range(radius - n + 1)}
                     assert targets <= found
+                # minimality: one word shorter by a letter misses a target
+                assert any(
+                    not targets <= {word[i : i + n] for i in range(radius - n)}
+                    for word in language(w, radius - 1)
+                )
 
 
 class TestAperiodicity:
@@ -196,6 +231,14 @@ class TestDoubleLanguage:
         for w in suite:
             for n in range(1, 129):
                 assert len(double_language(w, n)) <= 2 * complexity(w, (n + 1) // 2)
+
+    def test_matches_interleaved_language(self, suite):
+        # oracle: both phase classes interleave markers into admissible words
+        for w in suite:
+            for n in range(1, 65):
+                expected = {interleave(u, n, False) for u in language(w, (n + 1) // 2)}
+                expected |= {interleave(u, n, True) for u in language(w, n // 2)}
+                assert double_language(w, n) == expected
 
     def test_plain_subword_admissible(self, suite):
         for w in suite:
