@@ -135,7 +135,10 @@ class TestAdmissibility:
         assert not is_admissible("00", omega012)
 
     def test_factors_of_prefix_admissible(self, omega012):
-        for n, step in ((11, 7), (300, 37), (1023, 101)):
+        word = gamma_word(omega012, 500)
+        for i in range(0, 480, 7):
+            assert is_admissible(word[i : i + 11], omega012)
+        for n, step in ((300, 37), (1023, 101)):
             word = gamma_word(omega012, 4 * n)
             for i in range(0, 3 * n, step):
                 assert is_admissible(word[i : i + n], omega012)
