@@ -19,14 +19,10 @@ from .group import (
     words_equal,
 )
 from .schreier import (
-    Block,
     LabeledGraph,
-    block_graph,
     build_gamma_orbit,
     build_gamma_recursive,
-    delta_block,
     export_dot,
-    glue,
     gray_index,
     parse_dot,
     ray_at,

@@ -15,9 +15,9 @@ from math import lcm
 
 from .group import GEN_SYMBOL, Ray, apply_word, find_moved_vertex, is_trivial
 from .omega import EventuallyConstantOmegaError, OmegaSequence
-from .schreier import gray_index, ray_at
+from .schreier import _block_letters, gray_index, ray_at
 from .subshift import (
-    MARKER, _block_letters, _windows, double_language, is_admissible, language,
+    MARKER, _windows, double_language, is_admissible, language,
     uniform_recurrence_radius,
 )
 

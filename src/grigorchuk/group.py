@@ -205,32 +205,22 @@ def words_equal(w1: str, w2: str, omega: OmegaSequence) -> bool:
     return is_trivial(w1 + w2[::-1], omega)
 
 
-def _power_of_two(k: int) -> bool:
-    return k & (k - 1) == 0
-
-
 def element_order(word: str, omega: OmegaSequence, max_order: int) -> int | None:
     """Smallest k <= max_order with word^k trivial, else None.
 
-    Powers of two are probed first by repeated squaring: the first trivial
-    power of two is exactly the order whenever the order is a 2-power (the
-    generic torsion case). Otherwise a linear scan settles the remaining k.
+    G_omega acts faithfully on the binary tree and each level quotient is a
+    2-group, so an element of finite order has order 2^a. Repeated squaring
+    therefore finds every order up to max_order, and when no power of two up
+    to it is trivial no k up to it is either.
     """
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
-    w = normalize_word(word)
-    p, k = w, 1
+    p, k = normalize_word(word), 1
     while k <= max_order:
         if _trivial_normalized(p, omega):
             return k
         p = normalize_word(p + p)
         k *= 2
-    acc, k = w, 1
-    while k <= max_order:
-        if not _power_of_two(k) and _trivial_normalized(acc, omega):
-            return k
-        acc = normalize_word(acc + w)
-        k += 1
     return None
 
 

@@ -5,24 +5,12 @@ from rho."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 
-from .group import RHO, SYMBOL_GEN, Ray, apply_generator, fixing_generator
+from .group import SYMBOL_GEN, Ray, apply_generator
 from .omega import OmegaSequence
 
 Edge = tuple[int, int, str]
-
-
-class Block(Enum):
-    THETA = "T"
-    L0 = "0"
-    L1 = "1"
-    L2 = "2"
-    XI = "X"
-
-
-LAMBDA_BLOCKS = {0: Block.L0, 1: Block.L1, 2: Block.L2}
 
 
 @dataclass(frozen=True)
@@ -40,33 +28,6 @@ class LabeledGraph:
     def make(n: int, edges, leftmost: int = 0, rightmost: int | None = None) -> "LabeledGraph":
         canon = tuple(sorted((min(u, v), max(u, v), lab) for u, v, lab in edges))
         return LabeledGraph(n, canon, leftmost, n - 1 if rightmost is None else rightmost)
-
-
-def block_graph(block: Block) -> LabeledGraph:
-    if block is Block.THETA:
-        return LabeledGraph.make(2, [(0, 1, "a")])
-    if block is Block.XI:
-        return LabeledGraph.make(1, [(0, 0, g) for g in "bcd"])
-    loop = SYMBOL_GEN[int(block.value)]
-    double = sorted(set("bcd") - {loop})
-    return LabeledGraph.make(
-        2,
-        [(0, 1, double[0]), (0, 1, double[1]), (0, 0, loop), (1, 1, loop)],
-    )
-
-
-def glue(g1: LabeledGraph, g2: LabeledGraph) -> LabeledGraph:
-    """Identify the rightmost vertex of g1 with the leftmost vertex of g2.
-
-    Both operands must be path-ordered (leftmost 0, rightmost n-1) with sorted
-    canonical edges, as every graph built in this module is, and so is the
-    result: the shifted edges of g2 stay sorted, and sorting two runs merges."""
-    for g in (g1, g2):
-        if g.leftmost != 0 or g.rightmost != g.n - 1:
-            raise ValueError("glue expects path-ordered operands")
-    offset, n = g1.n - 1, g1.n + g2.n - 1
-    shifted = [(u + offset, v + offset, lab) for u, v, lab in g2.edges]
-    return LabeledGraph(n, tuple(sorted(g1.edges + tuple(shifted))), 0, n - 1)
 
 
 def gray_rank(bits: str) -> int:
@@ -121,23 +82,52 @@ def ruler_a(i: int) -> int:
     return (i & -i).bit_length()
 
 
-def delta_block(omega: OmegaSequence, i: int) -> Block:
-    """The i-th double-edge block of the half-line graph."""
-    return LAMBDA_BLOCKS[omega.at(ruler_a(i))]
+def _block_letters(omega: OmegaSequence, first: int, last: int) -> str:
+    """Letters at positions first..last of the infinite block word: Theta at
+    odd positions, the i-th double-edge block Lambda_{omega(ruler(i))} at
+    position 2i."""
+    return "".join(
+        ["T" if p % 2 else str(omega.at(ruler_a(p // 2))) for p in range(first, last + 1)]
+    )
 
 
-@lru_cache(maxsize=4096)
+def _block_word(omega: OmegaSequence, m: int) -> str:
+    """B_m, the first 2^m - 1 letters of the block word, by the recursion
+    B_1 = T, B_(k+1) = B_k omega(k) B_k (B_0 is empty)."""
+    word = "T" if m > 0 else ""
+    for k in range(1, m):
+        word = f"{word}{omega.at(k)}{word}"
+    return word
+
+
+# Symbol s -> (loop label, the two labels of the double edge), sorted.
+_LAMBDA = {str(s): (g, *sorted(set("bcd") - {g})) for s, g in SYMBOL_GEN.items()}
+
+
+def _word_graph(word: str) -> LabeledGraph:
+    """The half-line graph whose labels spell `word`, letter u joining
+    vertices u and u + 1: `T` is the a-edge Theta, a symbol s the double-edge
+    block Lambda_s with a loop labelled SYMBOL_GEN[s] at both ends. When `T`
+    alternates with symbols, as in every block word, the edges come out
+    canonically sorted."""
+    edges: list[Edge] = []
+    for u, letter in enumerate(word):
+        if letter == "T":
+            edges.append((u, u + 1, "a"))
+        else:
+            loop, x, y = _LAMBDA[letter]
+            edges += ((u, u, loop), (u, u + 1, x), (u, u + 1, y), (u + 1, u + 1, loop))
+    n = len(word) + 1
+    return LabeledGraph(n, tuple(edges), 0, n - 1)
+
+
+@lru_cache(maxsize=1)
 def build_gamma_recursive(omega: OmegaSequence, n: int) -> LabeledGraph:
-    """Level-n approximation by block gluing: level 1 is Theta*Lambda*Theta and
-    each next level glues two copies of the previous one around a Lambda block.
-    The result has exactly 2^(n+1) vertices."""
+    """Level-n approximation Gamma_n = Gamma_(n-1) Lambda_omega(n) Gamma_(n-1),
+    read off its block word B_(n+1). The result has exactly 2^(n+1) vertices."""
     if n < 1:
         raise ValueError("level must be >= 1")
-    if n == 1:
-        theta = block_graph(Block.THETA)
-        return glue(glue(theta, block_graph(LAMBDA_BLOCKS[omega.at(1)])), theta)
-    prev = build_gamma_recursive(omega, n - 1)
-    return glue(glue(prev, block_graph(LAMBDA_BLOCKS[omega.at(n)])), prev)
+    return _word_graph(_block_word(omega, n + 1))
 
 
 def build_gamma_orbit(omega: OmegaSequence, vertex_count: int, with_xi: bool) -> LabeledGraph:
@@ -149,27 +139,20 @@ def build_gamma_orbit(omega: OmegaSequence, vertex_count: int, with_xi: bool) ->
     rays = rho_enumeration(vertex_count)
     edges: list[Edge] = []
     for i, r in enumerate(rays):
-        for g in "abcd":
-            image = apply_generator(g, r, omega)
+        images = [(g, apply_generator(g, r, omega)) for g in "abcd"]
+        # A loop belongs to the double-edge block joining the vertex to its
+        # partner, the image under the b/c/d generators that move it; when the
+        # partner is out of range the whole block is cut, loop included.
+        partner = next((image for _, image in images[1:] if image != r), None)
+        keep_loops = with_xi if partner is None else gray_index(partner) < vertex_count
+        for g, image in images:
             if image == r:
-                if i == 0:
-                    if with_xi:
-                        edges.append((i, i, g))
-                    continue
-                # The loop belongs to the double-edge block joining the vertex
-                # to its partner; when the partner is out of range the whole
-                # block is cut, loop included.
-                partner = next(
-                    apply_generator(s, r, omega)
-                    for s in "bcd"
-                    if apply_generator(s, r, omega) != r
-                )
-                if gray_index(partner) < vertex_count:
+                if keep_loops:
                     edges.append((i, i, g))
-                continue
-            j = gray_index(image)
-            if i < j < vertex_count:
-                edges.append((i, j, g))
+            else:
+                j = gray_index(image)
+                if i < j < vertex_count:
+                    edges.append((i, j, g))
     return LabeledGraph.make(vertex_count, edges)
 
 
@@ -179,13 +162,11 @@ def self_similarity_check(omega: OmegaSequence, n: int, m: int) -> bool:
     if n < 1 or m < 1:
         raise ValueError("n and m must be >= 1")
     shifted = omega.shift(n)
-    piece = build_gamma_recursive(omega, n)
-    assembled = piece
+    piece = _block_word(omega, n + 1)
     # 2^m copies of the level-n piece; the vertex count 2^(n+m+1) forces the
     # number of interleaved double-edge blocks to be 2^m - 1.
-    for i in range(1, 1 << m):
-        assembled = glue(glue(assembled, block_graph(delta_block(shifted, i))), piece)
-    return assembled == build_gamma_recursive(omega, n + m)
+    assembled = piece + "".join(f"{shifted.at(ruler_a(i))}{piece}" for i in range(1, 1 << m))
+    return _word_graph(assembled) == build_gamma_recursive(omega, n + m)
 
 
 def export_dot(g: LabeledGraph) -> str:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .omega import EventuallyConstantOmegaError, OmegaSequence
-from .schreier import ruler_a
+from .schreier import _block_word, ruler_a
 
 ALPHABET = "T012"
 MARKER = "z"
@@ -31,18 +31,11 @@ def _require_not_constant(omega: OmegaSequence) -> None:
         )
 
 
-def _block_letters(omega: OmegaSequence, first: int, last: int) -> str:
-    """Letters at positions first..last of the infinite block word: Theta at
-    odd positions, the i-th double-edge block Lambda_{omega(ruler(i))} at
-    position 2i."""
-    return "".join(
-        ["T" if p % 2 else str(omega.at(ruler_a(p // 2))) for p in range(first, last + 1)]
-    )
-
-
 def gamma_word(omega: OmegaSequence, letter_count: int) -> str:
     """Prefix of the infinite block word, `letter_count` letters long."""
-    return _block_letters(omega, 1, letter_count)
+    if letter_count < 0:
+        raise ValueError("letter count must be >= 0")
+    return _block_word(omega, letter_count.bit_length())[:letter_count]
 
 
 def _level_for(n: int) -> int:

@@ -3,6 +3,7 @@ implementation: the literal generator recursion for actions, and exhaustive
 action checks for triviality."""
 
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -66,6 +67,14 @@ def oracle_fixes_all(word: str, omega: OmegaSequence, depth: int) -> bool:
         oracle_apply_word(word, format(i, f"0{depth}b"), omega) == format(i, f"0{depth}b")
         for i in range(1 << depth)
     )
+
+
+def order_by_scan(word: str, omega: OmegaSequence, max_order: int) -> int | None:
+    """Slow oracle for element_order: try every k up to the bound."""
+    for k in range(1, max_order + 1):
+        if is_trivial(word * k, omega):
+            return k
+    return None
 
 
 class TestActions:
@@ -269,6 +278,13 @@ class TestOrders:
             word = "".join(rng.choice("abcd") for _ in range(rng.randint(1, 10)))
             order = element_order(word, omega012, 1 << 10)
             assert order is not None and order & (order - 1) == 0
+
+    def test_squaring_matches_scan(self, suite):
+        # Orders in G_omega are powers of two, so squaring misses no k.
+        short = ["".join(p) for n in range(5) for p in product("abcd", repeat=n)]
+        for w in suite + tuple(parse_omega(s) for s in ("0:1", "0")):
+            for word in short:
+                assert element_order(word, w, 32) == order_by_scan(word, w, 32)
 
     def test_non_torsion_evidence(self):
         assert element_order("ab", parse_omega("0"), 64) is None

@@ -1,23 +1,20 @@
-"""Graph construction tests: the block pictures, the two independent gamma
-builders, and the Gray code order."""
+"""Graph construction tests: the block pictures and the slow gluing oracle,
+the two independent gamma builders, and the Gray code order."""
 
+from enum import Enum
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 from grigorchuk import (
-    Block,
     LabeledGraph,
     Ray,
     apply_generator,
-    block_graph,
     build_gamma_orbit,
     build_gamma_recursive,
-    delta_block,
     export_dot,
     fixing_generator,
-    glue,
     gray_index,
     parse_dot,
     parse_omega,
@@ -26,14 +23,66 @@ from grigorchuk import (
     ruler_a,
     self_similarity_check,
 )
+from grigorchuk.group import SYMBOL_GEN
 from grigorchuk.omega import OmegaSequence
-from grigorchuk.schreier import gray_rank
+from grigorchuk.schreier import _block_letters, _block_word, gray_rank
 
 GOLDEN = Path(__file__).parent / "golden"
 
 omegas = st.builds(
     OmegaSequence, st.text(alphabet="012", max_size=3), st.text(alphabet="012", min_size=1, max_size=4)
 )
+
+
+class Block(Enum):
+    THETA = "T"
+    L0 = "0"
+    L1 = "1"
+    L2 = "2"
+    XI = "X"
+
+
+LAMBDA_BLOCKS = {0: Block.L0, 1: Block.L1, 2: Block.L2}
+
+
+def block_graph(block: Block) -> LabeledGraph:
+    """The picture of one block: Theta is a single a-edge, Xi the three loops
+    at rho, Lambda_s a double edge with a SYMBOL_GEN[s] loop at both ends."""
+    if block is Block.THETA:
+        return LabeledGraph.make(2, [(0, 1, "a")])
+    if block is Block.XI:
+        return LabeledGraph.make(1, [(0, 0, g) for g in "bcd"])
+    loop = SYMBOL_GEN[int(block.value)]
+    double = sorted(set("bcd") - {loop})
+    return LabeledGraph.make(
+        2,
+        [(0, 1, double[0]), (0, 1, double[1]), (0, 0, loop), (1, 1, loop)],
+    )
+
+
+def glue(g1: LabeledGraph, g2: LabeledGraph) -> LabeledGraph:
+    """Identify the rightmost vertex of g1 with the leftmost vertex of g2.
+
+    Both operands must be path-ordered (leftmost 0, rightmost n-1) with sorted
+    canonical edges, and so is the result: the shifted edges of g2 stay
+    sorted, and sorting two runs merges."""
+    for g in (g1, g2):
+        if g.leftmost != 0 or g.rightmost != g.n - 1:
+            raise ValueError("glue expects path-ordered operands")
+    offset, n = g1.n - 1, g1.n + g2.n - 1
+    shifted = [(u + offset, v + offset, lab) for u, v, lab in g2.edges]
+    return LabeledGraph(n, tuple(sorted(g1.edges + tuple(shifted))), 0, n - 1)
+
+
+def glued_gamma(omega: OmegaSequence, n: int) -> LabeledGraph:
+    """Slow oracle for the recursive builder, gluing block pictures as the
+    paper does: Gamma_1 = Theta Lambda Theta, Gamma_n = Gamma_(n-1) Lambda
+    Gamma_(n-1), the Lambda block of level k being Lambda_omega(k)."""
+    theta = block_graph(Block.THETA)
+    g = glue(glue(theta, block_graph(LAMBDA_BLOCKS[omega.at(1)])), theta)
+    for k in range(2, n + 1):
+        g = glue(glue(g, block_graph(LAMBDA_BLOCKS[omega.at(k)])), g)
+    return g
 
 
 def _reverse(g: LabeledGraph) -> LabeledGraph:
@@ -195,17 +244,16 @@ class TestRuler:
 
 class TestDeltaBlocks:
     def test_examples(self, omega012):
-        assert delta_block(omega012, 1) is Block.L0
-        assert delta_block(omega012, 2) is Block.L1
-        assert delta_block(omega012, 4) is Block.L2
+        assert omega012.at(ruler_a(1)) == 0
+        assert omega012.at(ruler_a(2)) == 1
+        assert omega012.at(ruler_a(4)) == 2
 
     def test_first_zero_rule(self, omega012):
         # the i-th double edge joins rays whose fixing generator is s_{omega(a_i)}
         rays = rho_enumeration(64)
         for i in range(1, 32):
             left, right = rays[2 * i - 1], rays[2 * i]
-            block = delta_block(omega012, i)
-            expected_loop = {Block.L0: "d", Block.L1: "c", Block.L2: "b"}[block]
+            expected_loop = {0: "d", 1: "c", 2: "b"}[omega012.at(ruler_a(i))]
             assert fixing_generator(left, omega012) == expected_loop
             assert fixing_generator(right, omega012) == expected_loop
 
@@ -232,6 +280,27 @@ class TestGammaBuilders:
         for w in suite:
             for n in range(1, 11):
                 assert build_gamma_recursive(w, n) == build_gamma_orbit(w, 1 << (n + 1), False)
+
+    @given(omegas, st.integers(min_value=1, max_value=9))
+    def test_recursive_equals_glued(self, w, n):
+        assert build_gamma_recursive(w, n) == glued_gamma(w, n)
+
+    def test_orbit_cuts_whole_blocks(self, suite):
+        # Cutting the half-line after `count` vertices keeps an edge inside the
+        # range, and a loop only with the double edge it belongs to: the block
+        # of a loop at odd u reaches right to u + 1, at even u left to u - 1.
+        xi = [(0, 0, g) for g in "bcd"]
+        for w in suite:
+            full = build_gamma_recursive(w, 7)
+            for count in range(2, 131):
+                kept = [
+                    (u, v, lab)
+                    for u, v, lab in full.edges
+                    if (v < count if u != v else u < count and (u % 2 == 0 or u + 1 < count))
+                ]
+                cut = build_gamma_orbit(w, count, False)
+                assert cut == LabeledGraph.make(count, kept)
+                assert build_gamma_orbit(w, count, True) == LabeledGraph.make(count, kept + xi)
 
     def test_orbit_prefix_two_vertices(self, omega012):
         g = build_gamma_orbit(omega012, 2, with_xi=True)
@@ -303,6 +372,12 @@ class TestGammaBuilders:
                             nxt.append(v)
                 frontier = nxt
             assert all(dist[i] == i for i in range(g.n))
+
+
+class TestBlockWord:
+    @given(omegas, st.integers(min_value=0, max_value=12))
+    def test_doubling_matches_positions(self, w, m):
+        assert _block_word(w, m) == _block_letters(w, 1, (1 << m) - 1)
 
 
 class TestSelfSimilarity:

@@ -22,6 +22,7 @@ from grigorchuk import (
     uniform_recurrence_radius,
 )
 from grigorchuk.omega import EventuallyConstantOmegaError
+from grigorchuk.schreier import _block_letters
 from grigorchuk.subshift import ALPHABET
 
 
@@ -70,6 +71,15 @@ class TestGammaWord:
             word = gamma_word(w, 100)
             for i in range(1, 50):
                 assert word[2 * i - 1] == str(w.at(ruler_a(i)))
+
+    @pytest.mark.parametrize("k", [0, 1, 4, 100, 101])
+    def test_matches_positional_letters(self, suite, k):
+        for w in suite:
+            assert gamma_word(w, k) == _block_letters(w, 1, k)
+
+    def test_rejects_negative_length(self, omega012):
+        with pytest.raises(ValueError):
+            gamma_word(omega012, -1)
 
 
 class TestLanguage:
