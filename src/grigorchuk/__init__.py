@@ -10,11 +10,9 @@ from .group import (
     apply_word,
     ball_sizes,
     element_order,
-    first_zero_position,
     fixing_generator,
     is_trivial,
     normalize_word,
-    orbit_contains,
     root_and_sections,
     words_equal,
 )

@@ -115,6 +115,9 @@ def cmd_word(args) -> int:
     if set(word) - set("abcd"):
         print(f"error: word letters must be a/b/c/d, got {word!r}", file=sys.stderr)
         return EXIT_USAGE
+    if args.order and args.max_order < 1:
+        print(f"error: max_order must be >= 1, got {args.max_order}", file=sys.stderr)
+        return EXIT_USAGE
     normalized = group.normalize_word(word)
     trivial = group.is_trivial(word, omega)
     print(f"word={word or '(empty)'} omega={omega.spec()}")

@@ -6,7 +6,6 @@ applied first, so apply_word("xy", v) == apply x after y.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -57,18 +56,13 @@ def _check_word(word: str) -> None:
         raise ValueError(f"word letters must be in a/b/c/d, got {sorted(bad)}")
 
 
-def first_zero_position(r: Ray) -> int | None:
-    """1-based index of the first 0 digit; None exactly for rho."""
-    pos = r.prefix.find("0")
-    return None if pos < 0 else pos + 1
-
-
 def fixing_generator(r: Ray, omega: OmegaSequence) -> str:
-    """The unique letter among b, c, d that fixes r (undefined for rho)."""
-    m = first_zero_position(r)
-    if m is None:
+    """The unique letter among b, c, d that fixes r (undefined for rho): the
+    one whose symbol omega reads at the first 0 digit of r."""
+    pos = r.prefix.find("0")
+    if pos < 0:
         raise ValueError("rho is fixed by all of b, c, d")
-    return SYMBOL_GEN[omega.at(m)]
+    return SYMBOL_GEN[omega.at(pos + 1)]
 
 
 def _flip(bit: str) -> str:
@@ -248,55 +242,55 @@ def find_moved_vertex(word: str, omega: OmegaSequence) -> str:
     return "1" + find_moved_vertex(s1, shifted)
 
 
-def orbit_contains(r: Ray, omega: OmegaSequence) -> tuple[bool, str]:
-    """Every Ray value lies in the orbit of rho; the witness word maps rho to r
-    by alternating first-digit flips with double-edge moves along the orbit
-    graph. Moves are accumulated so the rightmost letter acts first."""
-    from .schreier import gray_index  # local import: schreier builds on group
+def _element_keys(omega: OmegaSequence):
+    """key(word, j): an int id of the automorphism a normalized word gives
+    over omega shifted by j, for j below len(preperiod) + len(period); equal
+    ids exactly for equal automorphisms. The nucleus (words of at most one
+    letter) is merged by Moore refinement from the root swap, so each stable
+    class is the only one with its triple (swap, section 0 class, section 1
+    class); a longer word hash-conses its own triple of contracted sections.
+    """
+    pre = len(omega.preperiod)
+    count = pre + len(omega.period)
+    shifted = [omega.shift(j) for j in range(count)]
+    nxt = [*range(1, count), pre]
+    moves = {}
+    for w in ("", *GENERATORS):
+        for j in range(count):
+            swap, s0, s1 = root_and_sections(w, shifted[j])
+            moves[w, j] = swap, (s0, nxt[j]), (s1, nxt[j])
+    cls = {s: int(swap) for s, (swap, _, _) in moves.items()}
+    while True:
+        ids: dict[tuple[int, int, int], int] = {}
+        refined = {
+            s: ids.setdefault((cls[s], cls[t0], cls[t1]), len(ids))
+            for s, (_, t0, t1) in moves.items()
+        }
+        if len(ids) == len(set(cls.values())):
+            break
+        cls = refined
+    table = {(swap, cls[t0], cls[t1]): cls[s] for s, (swap, t0, t1) in moves.items()}
+    memo = dict(cls)
 
-    j = gray_index(r)
-    word = []
-    current = RHO
-    for i in range(j):
-        if i % 2 == 0:
-            letter = "a"
-        else:
-            fixed = fixing_generator(current, omega)
-            letter = next(g for g in "bcd" if g != fixed)
-        current = apply_generator(letter, current, omega)
-        word.append(letter)
-    if current != r:
-        raise RuntimeError(f"move walk failed to reach {r!r}")
-    return True, "".join(reversed(word))
+    def key(word: str, j: int) -> int:
+        k = memo.get((word, j))
+        if k is None:
+            swap, s0, s1 = root_and_sections(word, shifted[j])
+            i = nxt[j]
+            triple = swap, key(normalize_word(s0), i), key(normalize_word(s1), i)
+            k = memo[word, j] = table.setdefault(triple, len(table))
+        return k
 
-
-_PROBE_COUNT = 48
-_PROBE_MAX_DEPTH = 12
-
-
-def _probe_vertices() -> tuple[str, ...]:
-    rng = random.Random(0x5EED)
-    probes = ["0", "1", "00", "10", "110", "1110"]
-    while len(probes) < _PROBE_COUNT:
-        depth = rng.randint(4, _PROBE_MAX_DEPTH)
-        probes.append("".join(rng.choice("01") for _ in range(depth)))
-    return tuple(probes)
-
-
-_PROBES = _probe_vertices()
+    return key
 
 
 def ball_sizes(omega: OmegaSequence, n_max: int) -> list[int]:
     """Sizes of balls of radius 0..n_max in (G_omega, {a,b,c,d}) by breadth
-    first search. Deduplication is by words_equal; the action on a fixed probe
-    set only buckets candidates, so collisions cost time, never correctness."""
+    first search, deduplicated by the exact keys of _element_keys."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-
-    def fingerprint(w: str) -> tuple[str, ...]:
-        return tuple(apply_word(w, v, omega) for v in _PROBES)
-
-    buckets: dict[tuple[str, ...], list[str]] = {fingerprint(""): [""]}
+    key = _element_keys(omega)
+    seen = {key("", 0)}
     sizes = [1]
     frontier = [""]
     for _ in range(n_max):
@@ -304,12 +298,10 @@ def ball_sizes(omega: OmegaSequence, n_max: int) -> list[int]:
         for w in frontier:
             for g in GENERATORS:
                 cand = normalize_word(w + g)
-                key = fingerprint(cand)
-                bucket = buckets.setdefault(key, [])
-                if any(words_equal(cand, known, omega) for known in bucket):
-                    continue
-                bucket.append(cand)
-                new_frontier.append(cand)
+                k = key(cand, 0)
+                if k not in seen:
+                    seen.add(k)
+                    new_frontier.append(cand)
         sizes.append(sizes[-1] + len(new_frontier))
         frontier = new_frontier
     return sizes

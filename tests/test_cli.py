@@ -84,6 +84,10 @@ class TestWord:
         code, _, err = run(capsys, "word", "--omega", "012", "xyz")
         assert code == 2 and "letters" in err
 
+    def test_bad_max_order_exits_2(self, capsys):
+        code, out, err = run(capsys, "word", "--omega", "012", "ab", "--order", "--max-order", "0")
+        assert code == 2 and out == "" and "max_order" in err
+
 
 class TestBallOrbitEmbedDouble:
     def test_ball(self, capsys):

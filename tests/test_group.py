@@ -3,6 +3,7 @@ implementation: the literal generator recursion for actions, and exhaustive
 action checks for triviality."""
 
 import random
+from functools import lru_cache
 from itertools import product
 
 import pytest
@@ -15,15 +16,15 @@ from grigorchuk import (
     apply_word,
     ball_sizes,
     element_order,
-    first_zero_position,
     fixing_generator,
+    gray_index,
     is_trivial,
     normalize_word,
-    orbit_contains,
     parse_omega,
     root_and_sections,
     words_equal,
 )
+from grigorchuk.group import _element_keys
 from grigorchuk.omega import OmegaSequence
 
 words = st.text(alphabet="abcd", max_size=10)
@@ -67,6 +68,57 @@ def oracle_fixes_all(word: str, omega: OmegaSequence, depth: int) -> bool:
         oracle_apply_word(word, format(i, f"0{depth}b"), omega) == format(i, f"0{depth}b")
         for i in range(1 << depth)
     )
+
+
+def orbit_contains(r: Ray, omega: OmegaSequence) -> tuple[bool, str]:
+    """Every Ray value lies in the orbit of rho; the witness word maps rho to r
+    by alternating first-digit flips with double-edge moves along the orbit
+    graph. Moves are accumulated so the rightmost letter acts first."""
+    j = gray_index(r)
+    word = []
+    current = RHO
+    for i in range(j):
+        if i % 2 == 0:
+            letter = "a"
+        else:
+            fixed = fixing_generator(current, omega)
+            letter = next(g for g in "bcd" if g != fixed)
+        current = apply_generator(letter, current, omega)
+        word.append(letter)
+    if current != r:
+        raise RuntimeError(f"move walk failed to reach {r!r}")
+    return True, "".join(reversed(word))
+
+
+def naive_ball_sizes(omega: OmegaSequence, radius: int) -> list[int]:
+    """Slow oracle for ball_sizes: the same BFS, deduplicated by pairwise
+    words_equal against every element found so far."""
+    elements = [""]
+    frontier = [""]
+    sizes = [1]
+    for _ in range(radius):
+        new = []
+        for x in frontier:
+            for g in "abcd":
+                cand = normalize_word(x + g)
+                if any(words_equal(cand, e, omega) for e in elements + new):
+                    continue
+                new.append(cand)
+        elements += new
+        frontier = new
+        sizes.append(len(elements))
+    return sizes
+
+
+@lru_cache(maxsize=None)
+def short_relators(spec: str) -> tuple[str, ...]:
+    """The nonempty normalized words of at most 8 letters that are trivial
+    over the given omega."""
+    normal, frontier = [], [""]
+    for _ in range(8):
+        frontier = [x + g for x in frontier for g in "abcd" if not x or (x[-1] == "a") != (g == "a")]
+        normal += frontier
+    return tuple(x for x in normal if is_trivial(x, parse_omega(spec)))
 
 
 def order_by_scan(word: str, omega: OmegaSequence, max_order: int) -> int | None:
@@ -134,10 +186,12 @@ class TestRays:
         assert Ray("0111").prefix == "0"
         assert Ray("11").prefix == ""
 
-    def test_first_zero(self):
-        assert first_zero_position(RHO) is None
-        assert first_zero_position(Ray("0")) == 1
-        assert first_zero_position(Ray("110")) == 3
+    def test_first_zero(self, omega012):
+        # b/c/d fix a ray by the omega symbol at its first 0; later 0s do not count
+        assert fixing_generator(Ray("0110"), omega012) == "d"
+        assert fixing_generator(Ray("1101"), omega012) == "b"
+        assert fixing_generator(Ray("1" * 9 + "00"), omega012) == "d"
+        assert fixing_generator(Ray("1" * 10 + "0"), omega012) == "c"
 
     def test_fixing_generator(self, omega012):
         assert fixing_generator(Ray("0"), omega012) == "d"
@@ -301,19 +355,32 @@ class TestBalls:
     def test_matches_naive_dedup(self, suite):
         # same BFS but deduplicated by pairwise words_equal alone
         for w in suite[:3]:
-            elements = [""]
-            frontier = [""]
-            for _ in range(3):
-                new = []
-                for x in frontier:
-                    for g in "abcd":
-                        cand = normalize_word(x + g)
-                        if any(words_equal(cand, e, w) for e in elements + new):
-                            continue
-                        new.append(cand)
-                elements += new
-                frontier = new
-            assert ball_sizes(w, 3)[-1] == len(elements)
+            assert ball_sizes(w, 3) == naive_ball_sizes(w, 3)
+
+    def test_eventually_constant_matches_naive_dedup(self):
+        # over 0 and 2 one of b, c, d is the identity; over 0:1, c = (a, 1)
+        for spec in ("0", "2", "0:1"):
+            w = parse_omega(spec)
+            assert ball_sizes(w, 5) == naive_ball_sizes(w, 5)
+
+    def test_radius_14(self, omega012):
+        assert ball_sizes(omega012, 14) == [
+            1, 5, 11, 23, 40, 68, 108, 176, 271, 427, 643, 999, 1487, 2259, 3313
+        ]
+
+    @given(st.data())
+    def test_keys_match_words_equal(self, data):
+        # equal keys exactly for equal elements, within one key table
+        spec = data.draw(st.sampled_from(("012", "01", "02", "2:01", "10:012", "0", "2", "0:1")))
+        raw = data.draw(st.lists(st.text(alphabet="abcd", max_size=8), min_size=2, max_size=6))
+        w = parse_omega(spec)
+        key = _element_keys(w)
+        ws = [normalize_word(x) for x in raw]
+        # a second spelling of the first element, so that equal keys are tested too
+        ws.append(normalize_word(ws[0] + data.draw(st.sampled_from(short_relators(spec)))))
+        for u in ws:
+            for v in ws:
+                assert (key(u, 0) == key(v, 0)) == words_equal(u, v, w)
 
 
 class TestOrbitWitness:
