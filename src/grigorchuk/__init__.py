@@ -22,15 +22,12 @@ from .schreier import (
     build_gamma_recursive,
     export_dot,
     gray_index,
-    parse_dot,
     ray_at,
     rho_enumeration,
     ruler_a,
-    self_similarity_check,
 )
 from .subshift import (
     complexity,
-    delta_not_eventually_periodic,
     double_language,
     extensions,
     gamma_word,

@@ -22,6 +22,7 @@ from .subshift import (
 )
 
 _LABEL_CAP = 120
+_CYLINDER_MAX_LEN = 24
 
 
 class InsufficientWindowError(ValueError):
@@ -195,8 +196,8 @@ def _require_not_constant(omega: OmegaSequence) -> None:
         )
 
 
-def identity_element(omega: OmegaSequence, tag: str = "A") -> FullGroupElement:
-    return FullGroupElement(omega, tag, (), label="e")
+def identity_element(omega: OmegaSequence) -> FullGroupElement:
+    return FullGroupElement(omega, "A", (), label="e")
 
 
 def generator_element(letter: str, omega: OmegaSequence) -> FullGroupElement:
@@ -207,8 +208,8 @@ def generator_element(letter: str, omega: OmegaSequence) -> FullGroupElement:
     return FullGroupElement(omega, "A", (factor,), label=letter)
 
 
-def shift_power(k: int, omega: OmegaSequence, tag: str = "A") -> FullGroupElement:
-    return FullGroupElement(omega, tag, (("shift", 1, abs(k), k),), label=f"phi^{k}")
+def shift_power(k: int, omega: OmegaSequence) -> FullGroupElement:
+    return FullGroupElement(omega, "A", (("shift", 1, abs(k), k),), label=f"phi^{k}")
 
 
 def compose(g: FullGroupElement, h: FullGroupElement) -> FullGroupElement:
@@ -324,16 +325,16 @@ def _joint_occurrence(u: str, k: int, omega: OmegaSequence) -> bool:
     )
 
 
-def find_disjoint_cylinder(omega: OmegaSequence, n: int, max_len: int = 24) -> Cylinder:
+def find_disjoint_cylinder(omega: OmegaSequence, n: int) -> Cylinder:
     """A cylinder whose first n shifts are pairwise disjoint, by scanning the
     language for a word with no admissible self-overlap at shifts 1..n-1."""
     if n < 2:
         raise ValueError("need n >= 2")
-    for length in range(1, max_len + 1):
+    for length in range(1, _CYLINDER_MAX_LEN + 1):
         for u in sorted(language(omega, length)):
             if all(not _joint_occurrence(u, k, omega) for k in range(1, n)):
                 return Cylinder(u, 0)
-    raise RuntimeError(f"no disjoint cylinder for n={n} up to word length {max_len}")
+    raise RuntimeError(f"no disjoint cylinder for n={n} up to word length {_CYLINDER_MAX_LEN}")
 
 
 def _check_cylinder(cyl: Cylinder, omega: OmegaSequence) -> None:

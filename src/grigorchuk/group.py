@@ -17,11 +17,7 @@ GENERATORS = "abcd"
 GEN_SYMBOL = {"b": 2, "c": 1, "d": 0}
 SYMBOL_GEN = {2: "b", 1: "c", 0: "d"}
 
-_KLEIN = {
-    frozenset("bc"): "d",
-    frozenset("bd"): "c",
-    frozenset("cd"): "b",
-}
+_KLEIN = {"bc": "d", "cb": "d", "bd": "c", "db": "c", "cd": "b", "dc": "b"}
 
 
 @dataclass(frozen=True)
@@ -117,52 +113,41 @@ def normalize_word(word: str) -> str:
     alternates a-letters and single letters from {b,c,d} and represents the
     same element of every G_omega."""
     _check_word(word)
+    # The stack alternates, so the letter below a b/c/d top is a or nothing
+    # and a fusion never cascades.
     stack: list[str] = []
     for ch in word:
-        while True:
-            if not stack:
-                stack.append(ch)
-                break
-            top = stack[-1]
-            if top == ch:
-                stack.pop()
-                break
-            if top != "a" and ch != "a":
-                stack.pop()
-                ch = _KLEIN[frozenset((top, ch))]
-                continue
+        top = stack[-1] if stack else ""
+        if top == ch:
+            stack.pop()
+        elif top + ch in _KLEIN:
+            stack[-1] = _KLEIN[top + ch]
+        else:
             stack.append(ch)
-            break
     return "".join(stack)
 
 
-def _is_normalized(word: str) -> bool:
-    return all(
-        x != y and (x == "a" or y == "a") for x, y in zip(word, word[1:])
-    )
-
-
 def root_and_sections(word: str, omega: OmegaSequence) -> tuple[bool, str, str]:
-    """Wreath decomposition of a word in alternating normal form.
+    """Wreath decomposition of any word over a/b/c/d.
 
     Returns (root_swap, section0, section1) with the sections read in
     G_{shifted omega}: the automorphism acts as w(xv) = swap(x) + section_x(v).
+    Only a normalized word of length >= 2 is sure to have shorter sections.
     """
     _check_word(word)
-    if not _is_normalized(word):
-        raise ValueError(f"word {word!r} is not in alternating normal form")
     swap = False
-    sec = ["", ""]
+    s0: list[str] = []
+    s1: list[str] = []
     first = omega.at(1)
     for ch in word:
         if ch == "a":
             swap = not swap
-            sec[0], sec[1] = sec[1], sec[0]
+            s0, s1 = s1, s0
         else:
             if GEN_SYMBOL[ch] != first:
-                sec[0] += "a"
-            sec[1] += ch
-    return swap, sec[0], sec[1]
+                s0.append("a")
+            s1.append(ch)
+    return swap, "".join(s0), "".join(s1)
 
 
 @lru_cache(maxsize=262144)

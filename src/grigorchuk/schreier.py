@@ -25,9 +25,9 @@ class LabeledGraph:
     rightmost: int
 
     @staticmethod
-    def make(n: int, edges, leftmost: int = 0, rightmost: int | None = None) -> "LabeledGraph":
+    def make(n: int, edges) -> "LabeledGraph":
         canon = tuple(sorted((min(u, v), max(u, v), lab) for u, v, lab in edges))
-        return LabeledGraph(n, canon, leftmost, n - 1 if rightmost is None else rightmost)
+        return LabeledGraph(n, canon, 0, n - 1)
 
 
 def gray_rank(bits: str) -> int:
@@ -156,19 +156,6 @@ def build_gamma_orbit(omega: OmegaSequence, vertex_count: int, with_xi: bool) ->
     return LabeledGraph.make(vertex_count, edges)
 
 
-def self_similarity_check(omega: OmegaSequence, n: int, m: int) -> bool:
-    """Does the level-(n+m) graph decompose as alternating copies of the
-    level-n graph with the double-edge blocks of the n-shifted sequence?"""
-    if n < 1 or m < 1:
-        raise ValueError("n and m must be >= 1")
-    shifted = omega.shift(n)
-    piece = _block_word(omega, n + 1)
-    # 2^m copies of the level-n piece; the vertex count 2^(n+m+1) forces the
-    # number of interleaved double-edge blocks to be 2^m - 1.
-    assembled = piece + "".join(f"{shifted.at(ruler_a(i))}{piece}" for i in range(1, 1 << m))
-    return _word_graph(assembled) == build_gamma_recursive(omega, n + m)
-
-
 def export_dot(g: LabeledGraph) -> str:
     """Deterministic DOT text; equal graphs export byte-identically."""
     lines = [
@@ -179,16 +166,3 @@ def export_dot(g: LabeledGraph) -> str:
     lines.append("}")
     return "\n".join(lines) + "\n"
 
-
-def parse_dot(text: str) -> LabeledGraph:
-    import re
-
-    header = re.search(r"graph \[n=(\d+) leftmost=(\d+) rightmost=(\d+)\];", text)
-    if header is None:
-        raise ValueError("missing graph attribute line")
-    n, leftmost, rightmost = (int(x) for x in header.groups())
-    edges = [
-        (int(u), int(v), lab)
-        for u, v, lab in re.findall(r'(\d+) -- (\d+) \[label="([abcd])"\];', text)
-    ]
-    return LabeledGraph.make(n, edges, leftmost, rightmost)

@@ -10,10 +10,11 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .omega import EventuallyConstantOmegaError, OmegaSequence
-from .schreier import _block_word, ruler_a
+from .schreier import _block_word
 
 ALPHABET = "T012"
 MARKER = "z"
+_RADIUS_CAP = 1 << 22
 
 _RENDER = {"T": "T", "0": "L0", "1": "L1", "2": "L2", "z": "z"}
 
@@ -117,7 +118,7 @@ def _covers(omega: OmegaSequence, radius: int, targets: frozenset[str], n: int) 
     return True
 
 
-def uniform_recurrence_radius(omega: OmegaSequence, n: int, cap: int = 1 << 22) -> int:
+def uniform_recurrence_radius(omega: OmegaSequence, n: int) -> int:
     """Least R such that every admissible word of length R contains every
     admissible word of length n. Doubling search then bisection; finiteness is
     the uniform recurrence of the half-line labelling."""
@@ -127,8 +128,8 @@ def uniform_recurrence_radius(omega: OmegaSequence, n: int, cap: int = 1 << 22) 
     radius = n
     while not _covers(omega, radius, targets, n):
         radius *= 2
-        if radius > cap:
-            raise RuntimeError(f"recurrence radius for n={n} exceeds cap {cap}")
+        if radius > _RADIUS_CAP:
+            raise RuntimeError(f"recurrence radius for n={n} exceeds cap {_RADIUS_CAP}")
     lo, hi = radius // 2, radius  # lo failed (or is n-1), hi covers
     lo = max(lo, n - 1)
     while hi - lo > 1:
@@ -138,24 +139,6 @@ def uniform_recurrence_radius(omega: OmegaSequence, n: int, cap: int = 1 << 22) 
         else:
             lo = mid
     return hi
-
-
-def delta_not_eventually_periodic(
-    omega: OmegaSequence, max_period: int, horizon: int
-) -> bool:
-    """Desk-scale aperiodicity evidence: no period up to max_period fits the
-    double-edge block sequence on [horizon/2, horizon]."""
-    if max_period < 1:
-        raise ValueError("max_period must be >= 1")
-    if horizon < 4 * max_period:
-        raise ValueError("horizon must be >= 4 * max_period")
-    _require_not_constant(omega)
-    start = horizon // 2
-    seq = [omega.at(ruler_a(j)) for j in range(start, horizon + 1)]
-    for period in range(1, max_period + 1):
-        if all(seq[t] == seq[t + period] for t in range(len(seq) - period)):
-            return False
-    return True
 
 
 def morse_hedlund_check(omega: OmegaSequence, n: int) -> bool:

@@ -244,10 +244,7 @@ class TestSections:
         assert root_and_sections("a", omega012) == (True, "", "")
         assert root_and_sections("d", omega012) == (False, "", "d")
         assert root_and_sections("b", omega012) == (False, "a", "b")
-
-    def test_rejects_unnormalized(self, omega012):
-        with pytest.raises(ValueError):
-            root_and_sections("bb", omega012)
+        assert root_and_sections("bb", omega012) == (False, "aa", "bb")
 
     @given(words, omegas)
     def test_contraction_bound(self, word, w):
@@ -258,12 +255,13 @@ class TestSections:
 
     @given(words, st.text(alphabet="01", min_size=1, max_size=9), omegas)
     def test_sections_reproduce_action(self, word, v, w):
-        word = normalize_word(word)
-        swap, s0, s1 = root_and_sections(word, w)
+        """For raw words too: the wreath decomposition is a homomorphism."""
         x, rest = v[0], v[1:]
-        section = s0 if x == "0" else s1
-        expected = (_flip(x) if swap else x) + apply_word(section, rest, w.shift(1))
-        assert apply_word(word, v, w) == expected
+        for u in (word, normalize_word(word)):
+            swap, s0, s1 = root_and_sections(u, w)
+            section = s0 if x == "0" else s1
+            expected = (_flip(x) if swap else x) + apply_word(section, rest, w.shift(1))
+            assert apply_word(u, v, w) == expected
 
 
 class TestWordProblem:

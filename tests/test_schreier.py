@@ -1,6 +1,9 @@
 """Graph construction tests: the block pictures and the slow gluing oracle,
-the two independent gamma builders, and the Gray code order."""
+the self-similarity and DOT-parsing oracles, the two independent gamma
+builders, and the Gray code order."""
 
+import re
+from dataclasses import replace
 from enum import Enum
 from pathlib import Path
 
@@ -16,16 +19,14 @@ from grigorchuk import (
     export_dot,
     fixing_generator,
     gray_index,
-    parse_dot,
     parse_omega,
     ray_at,
     rho_enumeration,
     ruler_a,
-    self_similarity_check,
 )
 from grigorchuk.group import SYMBOL_GEN
 from grigorchuk.omega import OmegaSequence
-from grigorchuk.schreier import _block_letters, _block_word, gray_rank
+from grigorchuk.schreier import _block_letters, _block_word, _word_graph, gray_rank
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -88,6 +89,32 @@ def glued_gamma(omega: OmegaSequence, n: int) -> LabeledGraph:
 def _reverse(g: LabeledGraph) -> LabeledGraph:
     relabel = lambda v: g.n - 1 - v
     return LabeledGraph.make(g.n, [(relabel(u), relabel(v), lab) for u, v, lab in g.edges])
+
+
+def self_similarity_check(omega: OmegaSequence, n: int, m: int) -> bool:
+    """Does the level-(n+m) graph decompose as alternating copies of the
+    level-n graph with the double-edge blocks of the n-shifted sequence?"""
+    if n < 1 or m < 1:
+        raise ValueError("n and m must be >= 1")
+    shifted = omega.shift(n)
+    piece = _block_word(omega, n + 1)
+    # 2^m copies of the level-n piece; the vertex count 2^(n+m+1) forces the
+    # number of interleaved double-edge blocks to be 2^m - 1.
+    assembled = piece + "".join(f"{shifted.at(ruler_a(i))}{piece}" for i in range(1, 1 << m))
+    return _word_graph(assembled) == build_gamma_recursive(omega, n + m)
+
+
+def parse_dot(text: str) -> LabeledGraph:
+    """Read `export_dot` text back, the header's leftmost and rightmost included."""
+    header = re.search(r"graph \[n=(\d+) leftmost=(\d+) rightmost=(\d+)\];", text)
+    if header is None:
+        raise ValueError("missing graph attribute line")
+    n, leftmost, rightmost = (int(x) for x in header.groups())
+    edges = [
+        (int(u), int(v), lab)
+        for u, v, lab in re.findall(r'(\d+) -- (\d+) \[label="([abcd])"\];', text)
+    ]
+    return replace(LabeledGraph.make(n, edges), leftmost=leftmost, rightmost=rightmost)
 
 
 class TestBlocks:

@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 
 from grigorchuk import (
     complexity,
-    delta_not_eventually_periodic,
     double_language,
     extensions,
     gamma_word,
@@ -214,16 +213,6 @@ class TestRecurrence:
                     not targets <= {word[i : i + n] for i in range(radius - n)}
                     for word in language(w, radius - 1)
                 )
-
-
-class TestAperiodicity:
-    def test_suite(self, suite):
-        for w in suite:
-            assert delta_not_eventually_periodic(w, 64, 4096)
-
-    def test_horizon_validation(self, omega012):
-        with pytest.raises(ValueError):
-            delta_not_eventually_periodic(omega012, 64, 100)
 
 
 class TestDoubleLanguage:
