@@ -30,15 +30,15 @@ def _emit(text: str, output: str | None) -> None:
 def _graph_json(g: schreier.LabeledGraph) -> str:
     payload = {
         "n": g.n,
-        "leftmost": g.leftmost,
-        "rightmost": g.rightmost,
+        "leftmost": 0,
+        "rightmost": g.n - 1,
         "edges": [[u, v, lab] for u, v, lab in g.edges],
     }
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def _graph_text(g: schreier.LabeledGraph) -> str:
-    lines = [f"vertices: {g.n} (leftmost {g.leftmost}, rightmost {g.rightmost})"]
+    lines = [f"vertices: {g.n} (leftmost 0, rightmost {g.n - 1})"]
     lines.extend(f"{u} -- {v}  {lab}" for u, v, lab in g.edges)
     return "\n".join(lines) + "\n"
 

@@ -198,9 +198,22 @@ def element_order(word: str, omega: OmegaSequence, max_order: int) -> int | None
     while k <= max_order:
         if _trivial_normalized(p, omega):
             return k
-        p = normalize_word(p + p)
+        p = _square_normalized(p)
         k *= 2
     return None
+
+
+def _square_normalized(p: str) -> str:
+    """normalize_word(p + p) for a normalized p: only the seam between the two
+    copies can reduce. Equal letters cancel outwards from it; a Klein pair of
+    b/c/d letters then fuses once, and the fused letter sits between a-letters
+    or ends, so nothing further reduces."""
+    n, k = len(p), 0
+    while k < n and p[n - 1 - k] == p[k]:
+        k += 1
+    if k < n and p[n - 1 - k] + p[k] in _KLEIN:
+        return p[: n - 1 - k] + _KLEIN[p[n - 1 - k] + p[k]] + p[k + 1 :]
+    return p[: n - k] + p[k:]
 
 
 def find_moved_vertex(word: str, omega: OmegaSequence) -> str:

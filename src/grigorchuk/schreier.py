@@ -21,13 +21,11 @@ class LabeledGraph:
 
     n: int
     edges: tuple[Edge, ...]
-    leftmost: int
-    rightmost: int
 
     @staticmethod
     def make(n: int, edges) -> "LabeledGraph":
         canon = tuple(sorted((min(u, v), max(u, v), lab) for u, v, lab in edges))
-        return LabeledGraph(n, canon, 0, n - 1)
+        return LabeledGraph(n, canon)
 
 
 def gray_rank(bits: str) -> int:
@@ -117,8 +115,7 @@ def _word_graph(word: str) -> LabeledGraph:
         else:
             loop, x, y = _LAMBDA[letter]
             edges += ((u, u, loop), (u, u + 1, x), (u, u + 1, y), (u + 1, u + 1, loop))
-    n = len(word) + 1
-    return LabeledGraph(n, tuple(edges), 0, n - 1)
+    return LabeledGraph(len(word) + 1, tuple(edges))
 
 
 @lru_cache(maxsize=1)
@@ -160,7 +157,7 @@ def export_dot(g: LabeledGraph) -> str:
     """Deterministic DOT text; equal graphs export byte-identically."""
     lines = [
         "graph schreier {",
-        f"  graph [n={g.n} leftmost={g.leftmost} rightmost={g.rightmost}];",
+        f"  graph [n={g.n} leftmost=0 rightmost={g.n - 1}];",
     ]
     lines.extend(f'  {u} -- {v} [label="{lab}"];' for u, v, lab in g.edges)
     lines.append("}")

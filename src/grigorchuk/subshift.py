@@ -8,6 +8,7 @@ the double-edge blocks, and 'z' for the doubling marker.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
 
 from .omega import EventuallyConstantOmegaError, OmegaSequence
 from .schreier import _block_word
@@ -76,10 +77,63 @@ def language(omega: OmegaSequence, n: int) -> frozenset[str]:
     return frozenset(_windows(omega, n))
 
 
+@lru_cache(maxsize=32)
+def _rho_table(omega: OmegaSequence, m: int) -> tuple[int, ...]:
+    """rho(n) for every n <= 2^m, from one generalized suffix automaton of the
+    level-m junction words (Blumer et al. 1985), `last` restarting at the root
+    for each word. A state v stands for the factors whose lengths lie in
+    (len(link v), len v], so one difference array over the states counts the
+    distinct factors of every length at once."""
+    length, link, nxt = [0], [-1], [{}]
+
+    def split(p: int, q: int, c: str) -> int:
+        """Clone q at length len(p) + 1 and move p's suffix path onto it."""
+        clone = len(length)
+        length.append(length[p] + 1)
+        link.append(link[q])
+        nxt.append(dict(nxt[q]))
+        link[q] = clone
+        while p >= 0 and nxt[p].get(c) == q:
+            nxt[p][c] = clone
+            p = link[p]
+        return clone
+
+    for word in _junctions(omega, m):
+        last = 0
+        for c in word:
+            q = nxt[last].get(c)
+            if q is not None:  # the factor already occurs in an earlier word
+                last = q if length[q] == length[last] + 1 else split(last, q, c)
+                continue
+            cur = len(length)
+            length.append(length[last] + 1)
+            link.append(0)
+            nxt.append({})
+            p = last
+            while p >= 0 and c not in nxt[p]:
+                nxt[p][c] = cur
+                p = link[p]
+            if p >= 0:
+                q = nxt[p][c]
+                link[cur] = q if length[q] == length[p] + 1 else split(p, q, c)
+            last = cur
+    size = 1 << m
+    diff = [0] * (size + 2)
+    diff[0], diff[1] = 1, -1  # the root: the empty word
+    for v in range(1, len(length)):
+        lo = length[link[v]] + 1
+        if lo <= size:
+            diff[lo] += 1
+            diff[min(length[v], size) + 1] -= 1
+    return tuple(accumulate(diff[: size + 1]))
+
+
 def complexity(omega: OmegaSequence, n: int) -> int:
+    """rho(n), the number of admissible words of length n."""
     if n < 1:
         raise ValueError("length must be >= 1")
-    return len(set(_windows(omega, n)))
+    _require_not_constant(omega)
+    return _rho_table(omega, _level_for(n))[n]
 
 
 def is_admissible(word: str, omega: OmegaSequence) -> bool:

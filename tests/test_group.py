@@ -7,7 +7,7 @@ from functools import lru_cache
 from itertools import product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from grigorchuk import (
     RHO,
@@ -24,7 +24,7 @@ from grigorchuk import (
     root_and_sections,
     words_equal,
 )
-from grigorchuk.group import _element_keys
+from grigorchuk.group import _element_keys, _square_normalized
 from grigorchuk.omega import OmegaSequence
 
 words = st.text(alphabet="abcd", max_size=10)
@@ -337,6 +337,15 @@ class TestOrders:
         for w in suite + tuple(parse_omega(s) for s in ("0:1", "0")):
             for word in short:
                 assert element_order(word, w, 32) == order_by_scan(word, w, 32)
+
+    @given(st.text(alphabet="abcd", max_size=40))
+    @example("")
+    @example("a")
+    @example("aba")  # cancels completely
+    @example("bacadab")  # cancels "b", "a" outwards, then fuses d with c
+    def test_seam_square_matches_normalize(self, word):
+        p = normalize_word(word)
+        assert _square_normalized(p) == normalize_word(p + p)
 
     def test_non_torsion_evidence(self):
         assert element_order("ab", parse_omega("0"), 64) is None

@@ -3,7 +3,6 @@ the self-similarity and DOT-parsing oracles, the two independent gamma
 builders, and the Gray code order."""
 
 import re
-from dataclasses import replace
 from enum import Enum
 from pathlib import Path
 
@@ -62,17 +61,13 @@ def block_graph(block: Block) -> LabeledGraph:
 
 
 def glue(g1: LabeledGraph, g2: LabeledGraph) -> LabeledGraph:
-    """Identify the rightmost vertex of g1 with the leftmost vertex of g2.
+    """Identify the rightmost vertex n-1 of g1 with the leftmost vertex 0 of g2.
 
-    Both operands must be path-ordered (leftmost 0, rightmost n-1) with sorted
-    canonical edges, and so is the result: the shifted edges of g2 stay
-    sorted, and sorting two runs merges."""
-    for g in (g1, g2):
-        if g.leftmost != 0 or g.rightmost != g.n - 1:
-            raise ValueError("glue expects path-ordered operands")
+    Both operands have sorted canonical edges, and so has the result: the
+    shifted edges of g2 stay sorted, and sorting two runs merges."""
     offset, n = g1.n - 1, g1.n + g2.n - 1
     shifted = [(u + offset, v + offset, lab) for u, v, lab in g2.edges]
-    return LabeledGraph(n, tuple(sorted(g1.edges + tuple(shifted))), 0, n - 1)
+    return LabeledGraph(n, tuple(sorted(g1.edges + tuple(shifted))))
 
 
 def glued_gamma(omega: OmegaSequence, n: int) -> LabeledGraph:
@@ -105,16 +100,18 @@ def self_similarity_check(omega: OmegaSequence, n: int, m: int) -> bool:
 
 
 def parse_dot(text: str) -> LabeledGraph:
-    """Read `export_dot` text back, the header's leftmost and rightmost included."""
+    """Read `export_dot` text back; the header must name the path ends 0 and n-1."""
     header = re.search(r"graph \[n=(\d+) leftmost=(\d+) rightmost=(\d+)\];", text)
     if header is None:
         raise ValueError("missing graph attribute line")
     n, leftmost, rightmost = (int(x) for x in header.groups())
+    if (leftmost, rightmost) != (0, n - 1):
+        raise ValueError(f"header ends {leftmost}, {rightmost} are not 0, {n - 1}")
     edges = [
         (int(u), int(v), lab)
         for u, v, lab in re.findall(r'(\d+) -- (\d+) \[label="([abcd])"\];', text)
     ]
-    return replace(LabeledGraph.make(n, edges), leftmost=leftmost, rightmost=rightmost)
+    return LabeledGraph.make(n, edges)
 
 
 class TestBlocks:
@@ -160,7 +157,8 @@ class TestGlue:
             expected = g.n + h.n - 1
             g = glue(g, h)
             assert g.n == expected
-        assert g.leftmost == 0 and g.rightmost == g.n - 1
+        # a path from vertex 0 to vertex n-1
+        assert {u for u, v, _ in g.edges if v == u + 1} == set(range(g.n - 1))
 
     @pytest.mark.parametrize("left,right", [(Block.L0, Block.L0), (Block.L1, Block.L2)])
     def test_lambda_lambda_matches_make(self, left, right):
@@ -439,6 +437,11 @@ class TestExport:
     def test_parse_round_trip(self, w, n):
         g = build_gamma_recursive(w, n)
         assert parse_dot(export_dot(g)) == g
+
+    def test_parse_rejects_other_ends(self, omega012):
+        text = export_dot(build_gamma_recursive(omega012, 1))
+        with pytest.raises(ValueError):
+            parse_dot(text.replace("rightmost=3", "rightmost=2"))
 
     def test_equal_graphs_export_identically(self, omega012):
         a = export_dot(build_gamma_recursive(omega012, 4))

@@ -22,7 +22,7 @@ from grigorchuk import (
 )
 from grigorchuk.omega import EventuallyConstantOmegaError
 from grigorchuk.schreier import _block_letters
-from grigorchuk.subshift import ALPHABET
+from grigorchuk.subshift import ALPHABET, _windows
 
 
 def scan_factors(omega, n: int) -> frozenset:
@@ -40,6 +40,12 @@ def scan_factors(omega, n: int) -> frozenset:
         worst = max(worst, (1 << (v - 1)) + 1)
     w = gamma_word(omega, (worst + 1) << m)
     return frozenset(w[i : i + n] for i in range(len(w) - n + 1))
+
+
+def complexity_by_windows(omega, n: int) -> int:
+    """Oracle for `complexity`: the distinct length-n windows of the junction
+    words, counted for one length at a time."""
+    return len(set(_windows(omega, n)))
 
 
 def interleave(word: str, n: int, z_first: bool) -> str:
@@ -136,6 +142,44 @@ class TestComplexity:
     def test_morse_hedlund(self, suite):
         for w in suite:
             assert all(morse_hedlund_check(w, n) for n in range(1, 65))
+
+    def test_matches_windows(self, suite):
+        for w in suite:
+            for n in range(1, 301):
+                assert complexity(w, n) == complexity_by_windows(w, n)
+
+    @pytest.mark.parametrize("spec", ["012", "2:01"])
+    def test_matches_windows_long(self, spec):
+        w = parse_omega(spec)
+        for n in (511, 512, 513, 1000, 1024):
+            assert complexity(w, n) == complexity_by_windows(w, n)
+
+    @pytest.mark.parametrize(
+        "spec,rho", [("012", 10240), ("10:012", 10240), ("01", 6144), ("02", 6144), ("2:01", 6144)]
+    )
+    def test_pinned_4096(self, spec, rho):
+        assert complexity(parse_omega(spec), 4096) == rho
+
+
+class TestRightSpecial:
+    """rho(n+1) - rho(n) counts the right-special factors of length n with
+    their multiplicity (Cassaigne 1997), the quantity the paper's linear
+    complexity estimate bounds."""
+
+    def test_differences_count_right_extensions(self, suite):
+        for w in suite:
+            for n in range(1, 49):
+                special = sum(len(extensions(u, w, "right")) - 1 for u in language(w, n))
+                assert complexity(w, n + 1) - complexity(w, n) == special
+
+    @pytest.mark.parametrize(
+        "spec,steps",
+        [("012", {2, 3}), ("10:012", {2, 3}), ("01", {1, 2}), ("02", {1, 2}), ("2:01", {1, 2})],
+    )
+    def test_difference_range(self, spec, steps):
+        w = parse_omega(spec)
+        rho = [complexity(w, n) for n in range(1, 4097)]
+        assert {b - a for a, b in zip(rho, rho[1:])} == steps
 
 
 class TestAdmissibility:
