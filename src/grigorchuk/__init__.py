@@ -21,7 +21,7 @@ from .schreier import (
     build_gamma_orbit,
     build_gamma_recursive,
     export_dot,
-    gray_index,
+    gray_rank,
     ray_at,
     rho_enumeration,
     ruler_a,

@@ -1,6 +1,6 @@
 """Command line surface: construction, verification, and export.
 
-Exit codes: 0 success, 1 check failure, 2 usage or parse error,
+Exit codes: 0 success, 1 check failure, 2 usage, parse or output-path error,
 3 unsupported case (eventually constant omega where the subshift is needed).
 """
 
@@ -45,10 +45,6 @@ def _graph_text(g: schreier.LabeledGraph) -> str:
 
 def cmd_graph(args) -> int:
     omega = parse_omega(args.omega)
-    if args.vertices is not None:
-        g = schreier.build_gamma_orbit(omega, args.vertices, with_xi=args.with_xi)
-    else:
-        g = schreier.build_gamma_recursive(omega, args.level)
     if args.oracle:
         orbit = schreier.build_gamma_orbit(omega, 1 << (args.level + 1), with_xi=False)
         recursive = schreier.build_gamma_recursive(omega, args.level)
@@ -57,6 +53,10 @@ def cmd_graph(args) -> int:
             return EXIT_OK
         print(f"MISMATCH level={args.level}")
         return EXIT_CHECK_FAILED
+    if args.vertices is not None:
+        g = schreier.build_gamma_orbit(omega, args.vertices, with_xi=args.with_xi)
+    else:
+        g = schreier.build_gamma_recursive(omega, args.level)
     render = {"dot": schreier.export_dot, "json": _graph_json, "text": _graph_text}
     _emit(render[args.format](g), args.output)
     return EXIT_OK
@@ -302,7 +302,7 @@ def main(argv=None) -> int:
     except EventuallyConstantOmegaError as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: an unwritable -o or --outdir
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

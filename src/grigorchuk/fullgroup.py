@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
-from .group import GEN_SYMBOL, Ray, apply_word, find_moved_vertex, is_trivial
+from .group import GEN_SYMBOL, apply_word, find_moved_vertex, is_trivial
 from .omega import EventuallyConstantOmegaError, OmegaSequence
-from .schreier import _block_letters, gray_index, ray_at
+from .schreier import _block_letters, gray_rank, ray_at
 from .subshift import (
     MARKER, _windows, double_language, is_admissible, language,
     uniform_recurrence_radius,
@@ -297,7 +297,7 @@ def injectivity_witness(word: str, omega: OmegaSequence) -> Window | None:
     v = find_moved_vertex(word, omega)
     for t in range(64):
         prefix = v if t == 0 else v + "1" * (t - 1) + "0"
-        j = gray_index(Ray(prefix))
+        j = gray_rank(prefix)
         if j > max(len(word), r):
             window = schreier_window(omega, j, r)
             if e.cocycle(window) != 0:
@@ -313,7 +313,7 @@ def schreier_consistency(word: str, omega: OmegaSequence, j: int) -> bool:
     e = embed_word(word, omega)
     window = schreier_window(omega, j, e.radius)
     ray = ray_at(j)
-    displacement = gray_index(apply_word(word, ray, omega)) - j
+    displacement = gray_rank(apply_word(word, ray, omega).prefix) - j
     return e.cocycle(window) == displacement
 
 

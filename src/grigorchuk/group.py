@@ -33,12 +33,6 @@ class Ray:
             raise ValueError(f"ray prefix must be binary, got {self.prefix!r}")
         object.__setattr__(self, "prefix", self.prefix.rstrip("1"))
 
-    def bit(self, i: int) -> str:
-        """The i-th binary digit (1-based); the implicit tail is all 1s."""
-        if i < 1:
-            raise ValueError("positions are 1-based")
-        return self.prefix[i - 1] if i <= len(self.prefix) else "1"
-
     def __str__(self) -> str:
         return (self.prefix or "") + "111..."
 
@@ -66,11 +60,16 @@ def _flip(bit: str) -> str:
 
 
 def apply_generator(letter: str, target, omega: OmegaSequence):
-    """Act by one generator on a TreeVertex (str over 0/1) or a Ray."""
+    """Act by one generator on a TreeVertex (str over 0/1) or a Ray.
+
+    A ray acts as the vertex prefix + "1": a generator reads at most the digit
+    after the first 0, and the first 0 of prefix + "1" is the first 0 of the
+    canonical prefix, so that digit always exists. Only one step is exact this
+    way, because an image may end in 0; `Ray` re-pads every image."""
     if letter not in GENERATORS:
         raise ValueError(f"unknown generator {letter!r}")
     if isinstance(target, Ray):
-        return _apply_ray(letter, target, omega)
+        return Ray(_apply_vertex(letter, target.prefix + "1", omega))
     return _apply_vertex(letter, target, omega)
 
 
@@ -83,20 +82,6 @@ def _apply_vertex(letter: str, v: str, omega: OmegaSequence) -> str:
     if omega.at(j) == GEN_SYMBOL[letter]:
         return v
     return v[:j] + _flip(v[j]) + v[j + 1:]
-
-
-def _apply_ray(letter: str, r: Ray, omega: OmegaSequence) -> Ray:
-    p = r.prefix
-    if letter == "a":
-        return Ray("0" + p[1:] if not p else _flip(p[0]) + p[1:])
-    j = p.find("0") + 1
-    if j == 0:  # no zero anywhere: r == rho, fixed by b, c, d
-        return r
-    if omega.at(j) == GEN_SYMBOL[letter]:
-        return r
-    if j == len(p):  # the flipped digit is the first 1 of the tail
-        return Ray(p + "0")
-    return Ray(p[:j] + _flip(p[j]) + p[j + 1:])
 
 
 def apply_word(word: str, target, omega: OmegaSequence):

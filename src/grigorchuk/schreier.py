@@ -29,22 +29,17 @@ class LabeledGraph:
 
 
 def gray_rank(bits: str) -> int:
-    """Position of a binary string within the Gray order of its own length."""
-    if not bits or set(bits) - {"0", "1"}:
-        raise ValueError(f"need a nonempty binary string, got {bits!r}")
+    """Position of a binary string within the Gray order of its own length.
+
+    Appending digits 1 does not change the rank, so the rank of a canonical
+    ray prefix is the ray's index in the orbit ("" for rho has index 0)."""
+    if set(bits) - {"0", "1"}:
+        raise ValueError(f"need a binary string, got {bits!r}")
     rank = 0
     for i, ch in enumerate(bits):
         if ch == "0":
             rank = (1 << (i + 1)) - 1 - rank
     return rank
-
-
-def gray_index(r: Ray) -> int:
-    """Index of a ray in the Gray enumeration of the orbit (0 for rho).
-
-    Appending tail digits 1 does not change the rank, so the canonical prefix
-    already determines the index."""
-    return gray_rank(r.prefix) if r.prefix else 0
 
 
 def rho_enumeration(count: int) -> list[Ray]:
@@ -133,21 +128,22 @@ def build_gamma_orbit(omega: OmegaSequence, vertex_count: int, with_xi: bool) ->
     range dropped. The three loops at rho are kept only when with_xi."""
     if vertex_count < 2:
         raise ValueError("vertex_count must be >= 2")
-    rays = rho_enumeration(vertex_count)
     edges: list[Edge] = []
-    for i, r in enumerate(rays):
-        images = [(g, apply_generator(g, r, omega)) for g in "abcd"]
+    for i in range(vertex_count):
+        # The ray as a vertex: exact for a single generator step.
+        v = ray_at(i).prefix + "1"
+        images = [(g, apply_generator(g, v, omega)) for g in "abcd"]
         # A loop belongs to the double-edge block joining the vertex to its
         # partner, the image under the b/c/d generators that move it; when the
         # partner is out of range the whole block is cut, loop included.
-        partner = next((image for _, image in images[1:] if image != r), None)
-        keep_loops = with_xi if partner is None else gray_index(partner) < vertex_count
+        partner = next((image for _, image in images[1:] if image != v), None)
+        keep_loops = with_xi if partner is None else gray_rank(partner) < vertex_count
         for g, image in images:
-            if image == r:
+            if image == v:
                 if keep_loops:
                     edges.append((i, i, g))
             else:
-                j = gray_index(image)
+                j = gray_rank(image)
                 if i < j < vertex_count:
                     edges.append((i, j, g))
     return LabeledGraph.make(vertex_count, edges)

@@ -45,7 +45,7 @@ def _level_for(n: int) -> int:
     return max(1, (n - 1).bit_length())
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=64)
 def _junctions(omega: OmegaSequence, m: int) -> tuple[str, ...]:
     """The junction words B * Lambda_s * B of level m: B is the block-word
     prefix of 2^m - 1 letters, s each symbol occurring in omega from position
@@ -77,7 +77,7 @@ def language(omega: OmegaSequence, n: int) -> frozenset[str]:
     return frozenset(_windows(omega, n))
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=64)
 def _rho_table(omega: OmegaSequence, m: int) -> tuple[int, ...]:
     """rho(n) for every n <= 2^m, from one generalized suffix automaton of the
     level-m junction words (Blumer et al. 1985), `last` restarting at the root

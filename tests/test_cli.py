@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from grigorchuk import subshift
+from grigorchuk import schreier, subshift
 from grigorchuk.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -28,6 +28,28 @@ class TestGraph:
     def test_oracle_match(self, capsys):
         code, out, _ = run(capsys, "graph", "--omega", "012", "--level", "5", "--oracle")
         assert code == 0 and out.startswith("MATCH")
+
+    def test_oracle_builds_only_what_it_compares(self, capsys, monkeypatch):
+        calls = []
+        build = schreier.build_gamma_orbit
+
+        def counted(omega, vertex_count, with_xi):
+            calls.append(vertex_count)
+            return build(omega, vertex_count, with_xi)
+
+        monkeypatch.setattr(schreier, "build_gamma_orbit", counted)
+        code, out, _ = run(capsys, "graph", "--omega", "012", "--vertices", "60000",
+                           "--oracle", "--level", "3")
+        assert code == 0 and out == "MATCH level=3 vertices=16\n"
+        assert calls == [16]
+
+    def test_output_into_missing_directory_exits_2(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "g.dot"
+        code, out, err = run(capsys, "graph", "--omega", "012", "--level", "3",
+                             "-o", str(target))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not target.exists()
 
     def test_invalid_omega_exits_2(self, capsys):
         code, _, err = run(capsys, "graph", "--omega", "3", "--level", "2")
@@ -182,6 +204,15 @@ class TestExport:
                            "--outdir", str(outdir))
         assert code == 2 and "level range" in err
         assert not outdir.exists()
+
+    def test_outdir_on_a_file_exits_2(self, capsys, tmp_path):
+        taken = tmp_path / "taken"
+        taken.write_text("keep")
+        code, _, err = run(capsys, "export", "--omega", "012", "--levels", "1:2",
+                           "--outdir", str(taken))
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err
+        assert taken.read_text() == "keep"
 
 
 def test_usage_error_exits_2(capsys):

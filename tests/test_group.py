@@ -17,7 +17,7 @@ from grigorchuk import (
     ball_sizes,
     element_order,
     fixing_generator,
-    gray_index,
+    gray_rank,
     is_trivial,
     normalize_word,
     parse_omega,
@@ -74,7 +74,7 @@ def orbit_contains(r: Ray, omega: OmegaSequence) -> tuple[bool, str]:
     """Every Ray value lies in the orbit of rho; the witness word maps rho to r
     by alternating first-digit flips with double-edge moves along the orbit
     graph. Moves are accumulated so the rightmost letter acts first."""
-    j = gray_index(r)
+    j = gray_rank(r.prefix)
     word = []
     current = RHO
     for i in range(j):
@@ -157,6 +157,18 @@ class TestActions:
         image = apply_generator(g, ray, w)
         oracle = oracle_apply(g, truncated, w)
         assert image == Ray(oracle)
+
+    def test_ray_action_matches_truncation_exhaustively(self, suite):
+        # the only check of the ray path: apply_generator reads a ray as the
+        # vertex prefix + "1", so every short prefix is checked on every omega
+        prefixes = [
+            "".join(bits) for n in range(11) for bits in product("01", repeat=n)
+        ]
+        for w in (*suite, parse_omega("0:1")):
+            for prefix in prefixes:
+                truncated = prefix + "1111"
+                for g in "abcd":
+                    assert apply_generator(g, Ray(prefix), w) == Ray(oracle_apply(g, truncated, w))
 
     @given(words, vertices, omegas)
     def test_word_action_matches_oracle(self, word, v, w):

@@ -17,7 +17,6 @@ from grigorchuk import (
     build_gamma_recursive,
     export_dot,
     fixing_generator,
-    gray_index,
     parse_omega,
     ray_at,
     rho_enumeration,
@@ -218,13 +217,15 @@ class TestGrayCode:
         assert [gray_rank(s) for s in reflected_gray(level)] == list(range(1 << level))
         # the rank is stable under the trailing-1 padding that defines rays
         for j, s in enumerate(reflected_gray(level)):
-            assert gray_index(Ray(s)) == j
+            assert gray_rank(Ray(s).prefix) == j
 
-    @given(st.integers(min_value=1, max_value=1 << 64))
+    @given(st.integers(min_value=0, max_value=1 << 64))
+    @example(0)
     @example(1 << 60)
     @example((1 << 64) - 1)
     def test_rank_inverts_unrank(self, j):
         assert gray_rank(ray_at(j).prefix) == j
+        assert gray_rank("") == 0
 
 
 class TestRhoEnumeration:

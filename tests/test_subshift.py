@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from grigorchuk import (
+    battery,
     complexity,
     double_language,
     extensions,
@@ -22,7 +23,7 @@ from grigorchuk import (
 )
 from grigorchuk.omega import EventuallyConstantOmegaError
 from grigorchuk.schreier import _block_letters
-from grigorchuk.subshift import ALPHABET, _windows
+from grigorchuk.subshift import ALPHABET, _junctions, _rho_table, _windows
 
 
 def scan_factors(omega, n: int) -> frozenset:
@@ -159,6 +160,21 @@ class TestComplexity:
     )
     def test_pinned_4096(self, spec, rho):
         assert complexity(parse_omega(spec), 4096) == rho
+
+    def test_verify_builds_each_table_once(self, suite):
+        # the subshift checks of a full `verify` ask for 40 (omega, level)
+        # keys of each cache; both caches hold them all without evicting
+        _rho_table.cache_clear()
+        _junctions.cache_clear()
+        for check in (
+            battery.check_complexity_bounds,
+            battery.check_doubling_bound,
+            battery.check_recurrence,
+        ):
+            assert check(suite, battery.Caps(), battery.DEFAULT_SEED).passed
+        for cached in (_rho_table, _junctions):
+            info = cached.cache_info()
+            assert info.misses == info.currsize == 40
 
 
 class TestRightSpecial:
