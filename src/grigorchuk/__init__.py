@@ -51,7 +51,6 @@ from .fullgroup import (
     embed_word,
     find_disjoint_cylinder,
     first_return_element,
-    generator_element,
     identity_element,
     injectivity_witness,
     inverse,

@@ -76,15 +76,13 @@ def _random_word(rng: random.Random, max_len: int, min_len: int = 0) -> str:
     return "".join(rng.choice("abcd") for _ in range(rng.randint(min_len, max_len)))
 
 
-def check_gray_code(caps: Caps, seed: int) -> CheckResult:
+def check_gray_code(omegas, caps: Caps, seed: int) -> tuple[bool, str]:
     match = _gray4_listing() == GRAY4_EXPECTED
     best = min(_timed_gray4_listing() for _ in range(5))
     fast = best < 1e-3
-    return CheckResult(
-        "gray_code_matches_published_listing",
-        match and fast,
+    return match and fast, (
         f"16/16 strings {'match' if match else 'MISMATCH'}; construction "
-        f"{'<' if fast else '>='} 1 ms",
+        f"{'<' if fast else '>='} 1 ms"
     )
 
 
@@ -100,7 +98,7 @@ def _timed_gray4_listing() -> float:
     return time.perf_counter() - start
 
 
-def check_graph_oracle(omegas, caps: Caps, seed: int) -> CheckResult:
+def check_graph_oracle(omegas, caps: Caps, seed: int) -> tuple[bool, str]:
     bad: list[str] = []
     for omega in omegas:
         for n in range(1, caps.graph_level + 1):
@@ -108,15 +106,13 @@ def check_graph_oracle(omegas, caps: Caps, seed: int) -> CheckResult:
             orb = schreier.build_gamma_orbit(omega, 1 << (n + 1), with_xi=False)
             if rec != orb:
                 bad.append(f"{omega.spec()}@n={n}")
-    return CheckResult(
-        "graph_oracle_equivalence",
-        not bad,
+    return not bad, (
         f"recursive == orbit for n<={caps.graph_level} on {len(omegas)} omegas"
-        + (f"; mismatches: {bad}" if bad else ""),
+        + (f"; mismatches: {bad}" if bad else "")
     )
 
 
-def check_bfs_order(omegas, caps: Caps, seed: int) -> CheckResult:
+def check_bfs_order(omegas, caps: Caps, seed: int) -> tuple[bool, str]:
     count = caps.bfs_vertices
     bad: list[str] = []
     for omega in omegas:
@@ -137,30 +133,26 @@ def check_bfs_order(omegas, caps: Caps, seed: int) -> CheckResult:
             frontier = nxt
         if any(dist.get(i) != i for i in range(count)):
             bad.append(omega.spec())
-    return CheckResult(
-        "gray_order_equals_bfs_distance",
-        not bad,
+    return not bad, (
         f"first {count} vertices in distance order"
-        + (f"; failures: {bad}" if bad else ""),
+        + (f"; failures: {bad}" if bad else "")
     )
 
 
-def check_complexity_bounds(omegas, caps: Caps, seed: int) -> CheckResult:
+def check_complexity_bounds(omegas, caps: Caps, seed: int) -> tuple[bool, str]:
     bad: list[str] = []
     for omega in omegas:
         for n in range(1, caps.complexity_max + 1):
             rho = subshift.complexity(omega, n)
             if not n + 1 <= rho <= 6 * n:
                 bad.append(f"{omega.spec()}@n={n}:rho={rho}")
-    return CheckResult(
-        "complexity_bounds",
-        not bad,
+    return not bad, (
         f"n+1 <= rho(n) <= 6n for n<={caps.complexity_max}"
-        + (f"; violations: {bad[:4]}" if bad else ""),
+        + (f"; violations: {bad[:4]}" if bad else "")
     )
 
 
-def check_doubling_bound(omegas, caps: Caps, seed: int) -> CheckResult:
+def check_doubling_bound(omegas, caps: Caps, seed: int) -> tuple[bool, str]:
     bad: list[str] = []
     for omega in omegas:
         for n in range(1, caps.doubling_max + 1):
@@ -168,15 +160,13 @@ def check_doubling_bound(omegas, caps: Caps, seed: int) -> CheckResult:
             rhs = 2 * subshift.complexity(omega, (n + 1) // 2)
             if lhs > rhs:
                 bad.append(f"{omega.spec()}@n={n}:{lhs}>{rhs}")
-    return CheckResult(
-        "doubling_complexity_bound",
-        not bad,
+    return not bad, (
         f"rho_Y(n) <= 2 rho_X(ceil(n/2)) for n<={caps.doubling_max}"
-        + (f"; violations: {bad[:4]}" if bad else ""),
+        + (f"; violations: {bad[:4]}" if bad else "")
     )
 
 
-def check_embedding(omegas, caps: Caps, seed: int) -> CheckResult:
+def check_embedding(omegas, caps: Caps, seed: int) -> tuple[bool, str]:
     mismatches = 0
     missing_witness = 0
     total = 0
@@ -191,15 +181,13 @@ def check_embedding(omegas, caps: Caps, seed: int) -> CheckResult:
                 continue
             if not trivial and fg.injectivity_witness(word, omega) is None:
                 missing_witness += 1
-    return CheckResult(
-        "embedding_homomorphism_injectivity",
-        mismatches == 0 and missing_witness == 0,
+    return mismatches == 0 and missing_witness == 0, (
         f"{total} words: identity iff trivial ({mismatches} mismatches), "
-        f"witness for every nontrivial word ({missing_witness} missing)",
+        f"witness for every nontrivial word ({missing_witness} missing)"
     )
 
 
-def check_schreier_consistency(omegas, caps: Caps, seed: int) -> CheckResult:
+def check_schreier_consistency(omegas, caps: Caps, seed: int) -> tuple[bool, str]:
     failures = 0
     total = 0
     for omega in omegas:
@@ -210,18 +198,16 @@ def check_schreier_consistency(omegas, caps: Caps, seed: int) -> CheckResult:
             total += 1
             if not fg.schreier_consistency(word, omega, j):
                 failures += 1
-    return CheckResult(
-        "schreier_cocycle_consistency",
-        failures == 0,
+    return failures == 0, (
         f"cocycle == displacement on {total} (word, vertex) pairs"
-        + (f"; {failures} failures" if failures else ""),
+        + (f"; {failures} failures" if failures else "")
     )
 
 
 RELATION_WORDS = ("aa", "bb", "cc", "dd", "bcd", "bdc", "cbd", "cdb", "dbc", "dcb")
 
 
-def check_relations(omegas, caps: Caps, seed: int) -> CheckResult:
+def check_relations(omegas, caps: Caps, seed: int) -> tuple[bool, str]:
     bad: list[str] = []
     for omega in omegas:
         for word in RELATION_WORDS:
@@ -229,15 +215,13 @@ def check_relations(omegas, caps: Caps, seed: int) -> CheckResult:
                 bad.append(f"G:{omega.spec()}:{word}")
             if not fg.is_identity(fg.embed_word(word, omega)):
                 bad.append(f"FG:{omega.spec()}:{word}")
-    return CheckResult(
-        "relations_map_to_identity",
-        not bad,
+    return not bad, (
         f"{len(RELATION_WORDS)} relation words trivial in the group and its image"
-        + (f"; failures: {bad}" if bad else ""),
+        + (f"; failures: {bad}" if bad else "")
     )
 
 
-def check_torsion(caps: Caps, seed: int) -> CheckResult:
+def check_torsion(omegas, caps: Caps, seed: int) -> tuple[bool, str]:
     omega = parse_omega("012")
     rng = _rng(seed, "torsion")
     bad_orders: list[str] = []
@@ -254,17 +238,15 @@ def check_torsion(caps: Caps, seed: int) -> CheckResult:
         embed_rejected = True
     unbounded = group.element_order("ab", constant, caps.nontorsion_bound) is None
     passed = not bad_orders and embed_rejected and unbounded
-    return CheckResult(
-        "torsion_evidence",
-        passed,
+    return passed, (
         f"{caps.torsion_words} word orders are powers of 2 over 012"
         + (f" (bad: {bad_orders[:4]})" if bad_orders else "")
         + f"; eventually constant 0:1 rejects the embedding ({embed_rejected})"
-        f" and ab has order > {caps.nontorsion_bound} ({unbounded})",
+        f" and ab has order > {caps.nontorsion_bound} ({unbounded})"
     )
 
 
-def check_commutator(omegas, caps: Caps, seed: int) -> CheckResult:
+def check_commutator(omegas, caps: Caps, seed: int) -> tuple[bool, str]:
     omega = omegas[0]
     rng = _rng(seed, "commutator", omega.spec())
     words = ["a", "b", "c", "d"]
@@ -282,17 +264,15 @@ def check_commutator(omegas, caps: Caps, seed: int) -> CheckResult:
         e2 = fg.double_element(fg.embed_word(w2, omega), 2)
         if not fg.elements_equal(fg.compose(e1, e2), fg.compose(e2, e1)):
             commute_failures += 1
-    return CheckResult(
-        "commutator_embedding",
-        not failed and commute_failures == 0,
+    return not failed and commute_failures == 0, (
         f"diagonal = g1·tau·g1·tau for {len(words)} involutions over {omega.spec()}"
         + (f" (failed: {failed})" if failed else "")
         + f"; copies 1,2 commute on {caps.commutator_pairs} pairs"
-        + (f" ({commute_failures} failures)" if commute_failures else ""),
+        + (f" ({commute_failures} failures)" if commute_failures else "")
     )
 
 
-def check_degenerate_witnesses(caps: Caps, seed: int) -> CheckResult:
+def check_degenerate_witnesses(omegas, caps: Caps, seed: int) -> tuple[bool, str]:
     omega = parse_omega("012")
     cyl = fg.find_disjoint_cylinder(omega, 3)
     s01 = fg.swap_involution(cyl, 0, 1, omega)
@@ -318,33 +298,24 @@ def check_degenerate_witnesses(caps: Caps, seed: int) -> CheckResult:
     )
     unbounded = fg.element_order_fg(r[0], caps.return_order_bound) is None
     bad = [name for name, ok in relations.items() if not ok]
-    return CheckResult(
-        "degenerate_case_witnesses",
-        not bad and commute and unbounded,
+    return not bad and commute and unbounded, (
         f"S3 relations on sigma involutions over cylinder {cyl.word!r}"
         + (f" (failed: {bad})" if bad else "")
-        + f"; r0,r1,r2 commute ({commute}); r0 order > {caps.return_order_bound} ({unbounded})",
+        + f"; r0,r1,r2 commute ({commute}); r0 order > {caps.return_order_bound} ({unbounded})"
     )
 
 
-def check_recurrence(omegas, caps: Caps, seed: int) -> CheckResult:
+def check_recurrence(omegas, caps: Caps, seed: int) -> tuple[bool, str]:
     radii: list[str] = []
     for omega in omegas:
         last = 0
         for n in range(1, caps.recurrence_max + 1):
             radius = subshift.uniform_recurrence_radius(omega, n)
             if radius < last:
-                return CheckResult(
-                    "uniform_recurrence_terminates", False,
-                    f"radius not monotone at {omega.spec()} n={n}",
-                )
+                return False, f"radius not monotone at {omega.spec()} n={n}"
             last = radius
         radii.append(f"{omega.spec()}:R({caps.recurrence_max})={last}")
-    return CheckResult(
-        "uniform_recurrence_terminates",
-        True,
-        "; ".join(radii),
-    )
+    return True, "; ".join(radii)
 
 
 def run_battery(
@@ -352,33 +323,31 @@ def run_battery(
 ) -> list[CheckResult]:
     """Run every acceptance check on the given omega suite. An exception that
     escapes one check is reported as that check's failure; the others still
-    run."""
+    run. The table below is the only place that names a check; each check
+    takes (omegas, caps, seed) and returns (passed, detail)."""
     caps = QUICK_CAPS if quick else Caps()
     omegas = [parse_omega(s) for s in omega_specs]
-    for omega in omegas:
-        if omega.is_eventually_constant():
-            raise EventuallyConstantOmegaError(
-                f"omega {omega.spec()} is eventually constant; the verification "
-                "suite targets the subshift construction"
-            )
-    checks = (
-        ("gray_code_matches_published_listing", check_gray_code, (caps, seed)),
-        ("graph_oracle_equivalence", check_graph_oracle, (omegas, caps, seed)),
-        ("gray_order_equals_bfs_distance", check_bfs_order, (omegas, caps, seed)),
-        ("complexity_bounds", check_complexity_bounds, (omegas, caps, seed)),
-        ("doubling_complexity_bound", check_doubling_bound, (omegas, caps, seed)),
-        ("embedding_homomorphism_injectivity", check_embedding, (omegas, caps, seed)),
-        ("schreier_cocycle_consistency", check_schreier_consistency, (omegas, caps, seed)),
-        ("relations_map_to_identity", check_relations, (omegas, caps, seed)),
-        ("torsion_evidence", check_torsion, (caps, seed)),
-        ("commutator_embedding", check_commutator, (omegas, caps, seed)),
-        ("degenerate_case_witnesses", check_degenerate_witnesses, (caps, seed)),
-        ("uniform_recurrence_terminates", check_recurrence, (omegas, caps, seed)),
+    for omega in omegas:  # every check reads the subshift of each omega
+        subshift._require_not_constant(omega)
+    checks = (  # built per call, so the module's current check functions run
+        ("gray_code_matches_published_listing", check_gray_code),
+        ("graph_oracle_equivalence", check_graph_oracle),
+        ("gray_order_equals_bfs_distance", check_bfs_order),
+        ("complexity_bounds", check_complexity_bounds),
+        ("doubling_complexity_bound", check_doubling_bound),
+        ("embedding_homomorphism_injectivity", check_embedding),
+        ("schreier_cocycle_consistency", check_schreier_consistency),
+        ("relations_map_to_identity", check_relations),
+        ("torsion_evidence", check_torsion),
+        ("commutator_embedding", check_commutator),
+        ("degenerate_case_witnesses", check_degenerate_witnesses),
+        ("uniform_recurrence_terminates", check_recurrence),
     )
     results = []
-    for name, check, args in checks:
+    for name, check in checks:
         try:
-            results.append(check(*args))
+            passed, detail = check(omegas, caps, seed)
         except Exception as exc:  # one faulty check must not hide the others
-            results.append(CheckResult(name, False, f"raised {type(exc).__name__}: {exc}"))
+            passed, detail = False, f"raised {type(exc).__name__}: {exc}"
+        results.append(CheckResult(name, passed, detail))
     return results

@@ -76,8 +76,19 @@ def cmd_language(args) -> int:
     return EXIT_OK
 
 
-def cmd_complexity(args) -> int:
+def _table_omega(args):
+    """The omega of a `--max-n` table, refused before any row is printed: a
+    negative bound is a usage error, and an eventually constant omega is
+    unsupported even when the table is empty."""
     omega = parse_omega(args.omega)
+    if args.max_n < 0:
+        raise ValueError(f"max_n must be >= 0, got {args.max_n}")
+    subshift._require_not_constant(omega)
+    return omega
+
+
+def cmd_complexity(args) -> int:
+    omega = _table_omega(args)
     rows = []
     all_ok = True
     for n in range(1, args.max_n + 1):
@@ -112,22 +123,19 @@ def cmd_orbit(args) -> int:
 def cmd_word(args) -> int:
     omega = parse_omega(args.omega)
     word = args.word
-    if set(word) - set("abcd"):
-        print(f"error: word letters must be a/b/c/d, got {word!r}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.order and args.max_order < 1:
-        print(f"error: max_order must be >= 1, got {args.max_order}", file=sys.stderr)
-        return EXIT_USAGE
     normalized = group.normalize_word(word)
+    if args.order and args.max_order < 1:
+        raise ValueError(f"max_order must be >= 1, got {args.max_order}")
     trivial = group.is_trivial(word, omega)
+    element = fg.embed_word(word, omega) if args.embed_check else None
     print(f"word={word or '(empty)'} omega={omega.spec()}")
     print(f"normalized: {normalized or '(empty)'}")
     print(f"trivial: {trivial}")
     if args.order:
         order = group.element_order(word, omega, args.max_order)
         print(f"order: {order if order is not None else f'> {args.max_order}'}")
-    if args.embed_check:
-        consistent = fg.is_identity(fg.embed_word(word, omega)) == trivial
+    if element is not None:
+        consistent = fg.is_identity(element) == trivial
         print(f"embedding consistent: {consistent}")
         if not consistent:
             return EXIT_CHECK_FAILED
@@ -146,9 +154,6 @@ def cmd_ball(args) -> int:
 def cmd_embed(args) -> int:
     omega = parse_omega(args.omega)
     word = args.word
-    if set(word) - set("abcd"):
-        print(f"error: word letters must be a/b/c/d, got {word!r}", file=sys.stderr)
-        return EXIT_USAGE
     element = fg.embed_word(word, omega)
     identity = fg.is_identity(element)
     out = [
@@ -167,7 +172,7 @@ def cmd_embed(args) -> int:
 
 
 def cmd_double(args) -> int:
-    omega = parse_omega(args.omega)
+    omega = _table_omega(args)
     lines = [f"omega={omega.spec()} max_n={args.max_n}", "n\trho_Y\tbound\tverdict"]
     all_ok = True
     for n in range(1, args.max_n + 1):
@@ -214,9 +219,7 @@ def cmd_export(args) -> int:
     lo, _, hi = args.levels.partition(":")
     start, stop = int(lo), int(hi or lo)
     if not 1 <= start <= stop:
-        print(f"error: level range must satisfy 1 <= lo <= hi, got {args.levels!r}",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"level range must satisfy 1 <= lo <= hi, got {args.levels!r}")
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     tag = omega.spec().replace(":", "_")

@@ -13,12 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
-from .group import GEN_SYMBOL, apply_word, find_moved_vertex, is_trivial
-from .omega import EventuallyConstantOmegaError, OmegaSequence
+from .group import GEN_SYMBOL, _check_word, apply_word, find_moved_vertex, is_trivial
+from .omega import OmegaSequence
 from .schreier import _block_letters, gray_rank, ray_at
 from .subshift import (
-    MARKER, _windows, double_language, is_admissible, language,
-    uniform_recurrence_radius,
+    MARKER, _require_not_constant, _windows, double_language, is_admissible,
+    language, uniform_recurrence_radius,
 )
 
 _LABEL_CAP = 120
@@ -170,8 +170,6 @@ def _step(f: tuple, letters: str, center: int) -> int:
 
 def _gen(letter: str) -> tuple:
     """The generator factor; b, c, d carry the block symbol they loop on."""
-    if letter not in "abcd":
-        raise ValueError(f"unknown generator {letter!r}")
     return ("gen", 1, 1, str(GEN_SYMBOL[letter]) if letter != "a" else "")
 
 
@@ -189,23 +187,8 @@ def _require_compatible(g: FullGroupElement, h: FullGroupElement) -> None:
         raise ValueError(f"alphabet mismatch: {g.tag} vs {h.tag}")
 
 
-def _require_not_constant(omega: OmegaSequence) -> None:
-    if omega.is_eventually_constant():
-        raise EventuallyConstantOmegaError(
-            "the subshift embedding requires omega not eventually constant"
-        )
-
-
 def identity_element(omega: OmegaSequence) -> FullGroupElement:
     return FullGroupElement(omega, "A", (), label="e")
-
-
-def generator_element(letter: str, omega: OmegaSequence) -> FullGroupElement:
-    """The image of a generator: translate toward the side whose block carries
-    the letter's edge at the marked vertex, or stay put on a loop."""
-    factor = _gen(letter)
-    _require_not_constant(omega)
-    return FullGroupElement(omega, "A", (factor,), label=letter)
 
 
 def shift_power(k: int, omega: OmegaSequence) -> FullGroupElement:
@@ -239,7 +222,10 @@ def elements_equal(g: FullGroupElement, h: FullGroupElement) -> bool:
 
 def embed_word(word: str, omega: OmegaSequence) -> FullGroupElement:
     """The image of a generator word, rightmost letter acting first. The label
-    is the left-nested product ((a b) c)."""
+    is the left-nested product ((a b) c). A generator translates toward the
+    side whose block carries its edge at the marked vertex, or stays put on a
+    loop."""
+    _check_word(word)
     _require_not_constant(omega)
     if not word:
         return identity_element(omega)

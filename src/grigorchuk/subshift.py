@@ -132,7 +132,6 @@ def complexity(omega: OmegaSequence, n: int) -> int:
     """rho(n), the number of admissible words of length n."""
     if n < 1:
         raise ValueError("length must be >= 1")
-    _require_not_constant(omega)
     return _rho_table(omega, _level_for(n))[n]
 
 

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from grigorchuk import schreier, subshift
+from grigorchuk import battery, schreier, subshift
 from grigorchuk.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -87,6 +87,16 @@ class TestComplexity:
         code, _, _ = run(capsys, "complexity", "--omega", "0:1", "--max-n", "8")
         assert code == 3
 
+    @pytest.mark.parametrize("command", ["complexity", "double"])
+    def test_empty_table_on_constant_omega_exits_3(self, capsys, command):
+        code, out, err = run(capsys, command, "--omega", "0:1", "--max-n", "0")
+        assert code == 3 and out == "" and "eventually constant" in err
+
+    @pytest.mark.parametrize("command", ["complexity", "double"])
+    def test_negative_max_n_exits_2(self, capsys, command):
+        code, out, err = run(capsys, command, "--omega", "012", "--max-n", "-1")
+        assert code == 2 and out == "" and "max_n" in err
+
 
 class TestWord:
     def test_trivial_word(self, capsys):
@@ -105,6 +115,11 @@ class TestWord:
     def test_bad_letters_exit_2(self, capsys):
         code, _, err = run(capsys, "word", "--omega", "012", "xyz")
         assert code == 2 and "letters" in err
+
+    def test_embed_check_on_constant_omega_exits_3_silently(self, capsys):
+        for extra in ((), ("--order",)):
+            code, out, err = run(capsys, "word", "--omega", "0:1", "ab", "--embed-check", *extra)
+            assert code == 3 and out == "" and "eventually constant" in err
 
     def test_bad_max_order_exits_2(self, capsys):
         code, out, err = run(capsys, "word", "--omega", "012", "ab", "--order", "--max-order", "0")
@@ -132,6 +147,11 @@ class TestBallOrbitEmbedDouble:
         code, out, _ = run(capsys, "embed", "--omega", "012", "a", "--dump")
         assert code == 0 and "displacement_bound" in out and "-> +1" in out
 
+    def test_embed_bad_letters_exit_2(self, capsys):
+        # the letter check comes before the omega guard
+        code, out, err = run(capsys, "embed", "--omega", "0:1", "x")
+        assert code == 2 and out == "" and "letters" in err
+
     def test_double_bound_table(self, capsys):
         code, out, _ = run(capsys, "double", "--omega", "012", "--max-n", "8")
         assert code == 0 and "FAIL" not in out
@@ -158,6 +178,29 @@ class TestVerify:
         assert code == 0
         payload = json.loads(out)
         assert payload["passed"] is True and len(payload["checks"]) == 12
+
+    def test_json_check_names_in_order(self, capsys):
+        _, out, _ = run(capsys, "verify", "--quick", "--format", "json")
+        assert [c["name"] for c in json.loads(out)["checks"]] == [
+            "gray_code_matches_published_listing",
+            "graph_oracle_equivalence",
+            "gray_order_equals_bfs_distance",
+            "complexity_bounds",
+            "doubling_complexity_bound",
+            "embedding_homomorphism_injectivity",
+            "schreier_cocycle_consistency",
+            "relations_map_to_identity",
+            "torsion_evidence",
+            "commutator_embedding",
+            "degenerate_case_witnesses",
+            "uniform_recurrence_terminates",
+        ]
+
+    def test_checks_are_looked_up_per_run(self, capsys, monkeypatch):
+        # a wrapper installed on the module (as a tracer does) is the one that runs
+        monkeypatch.setattr(battery, "check_relations", lambda omegas, caps, seed: (False, "stub"))
+        code, out, _ = run(capsys, "verify", "--quick")
+        assert code == 1 and "FAIL relations_map_to_identity: stub" in out.splitlines()
 
     def test_eventually_constant_exits_3(self, capsys):
         code, _, err = run(capsys, "verify", "--omega", "0:1", "--quick")

@@ -20,7 +20,6 @@ from grigorchuk import (
     embed_word,
     find_disjoint_cylinder,
     first_return_element,
-    generator_element,
     identity_element,
     injectivity_witness,
     inverse,
@@ -61,23 +60,23 @@ def order_by_powers(e, max_order):
 
 class TestGeneratorCocycles:
     def test_a_moves_toward_theta(self, omega012):
-        a = generator_element("a", omega012)
+        a = embed_word("a", omega012)
         assert a.cocycle(Window(1, "0T")) == 1
         assert a.cocycle(Window(1, "T0")) == -1
 
     def test_loop_label_freezes(self, omega012):
-        assert generator_element("d", omega012).cocycle(Window(1, "T0")) == 0
-        assert generator_element("c", omega012).cocycle(Window(1, "T1")) == 0
-        assert generator_element("b", omega012).cocycle(Window(1, "T2")) == 0
+        assert embed_word("d", omega012).cocycle(Window(1, "T0")) == 0
+        assert embed_word("c", omega012).cocycle(Window(1, "T1")) == 0
+        assert embed_word("b", omega012).cocycle(Window(1, "T2")) == 0
 
     def test_double_edge_moves(self, omega012):
-        assert generator_element("b", omega012).cocycle(Window(1, "T0")) == 1
-        assert generator_element("b", omega012).cocycle(Window(1, "0T")) == -1
-        assert generator_element("c", omega012).cocycle(Window(1, "T0")) == 1
+        assert embed_word("b", omega012).cocycle(Window(1, "T0")) == 1
+        assert embed_word("b", omega012).cocycle(Window(1, "0T")) == -1
+        assert embed_word("c", omega012).cocycle(Window(1, "T0")) == 1
 
     def test_eventually_constant_rejected(self):
         with pytest.raises(EventuallyConstantOmegaError):
-            generator_element("a", parse_omega("0:1"))
+            embed_word("a", parse_omega("0:1"))
         with pytest.raises(EventuallyConstantOmegaError):
             embed_word("ab", parse_omega("0:1"))
 
@@ -85,7 +84,7 @@ class TestGeneratorCocycles:
         for w in suite:
             for letters in language(w, 2):
                 for g in "abcd":
-                    n = generator_element(g, w).cocycle(Window(1, letters))
+                    n = embed_word(g, w).cocycle(Window(1, letters))
                     assert n in (-1, 0, 1)
 
 
@@ -97,7 +96,7 @@ class TestComposeInverse:
 
     def test_generator_squares(self, omega012):
         for g in "abcd":
-            el = generator_element(g, omega012)
+            el = embed_word(g, omega012)
             assert is_identity(compose(el, el))
 
     @given(words, words)
@@ -111,7 +110,7 @@ class TestComposeInverse:
             assert gh._eval(letters, gh.radius) == nh + ng
 
     def test_inverse_examples(self, omega012):
-        b = generator_element("b", omega012)
+        b = embed_word("b", omega012)
         assert elements_equal(inverse(b), b)
         assert elements_equal(inverse(shift_power(3, omega012)), shift_power(-3, omega012))
 
@@ -134,7 +133,7 @@ class TestComposeInverse:
 
     def test_alphabet_mismatch_rejected(self, omega012):
         with pytest.raises(ValueError):
-            compose(generator_element("a", omega012), tau(omega012))
+            compose(embed_word("a", omega012), tau(omega012))
 
     def test_insufficient_window_rejected(self, omega012):
         e = embed_word("abab", omega012)
@@ -147,7 +146,7 @@ class TestIdentity:
         assert is_identity(identity_element(omega012))
 
     def test_generator_never_identity(self, omega012):
-        assert not is_identity(generator_element("a", omega012))
+        assert not is_identity(embed_word("a", omega012))
 
     def test_relations(self, suite):
         for w in suite:
@@ -157,7 +156,10 @@ class TestIdentity:
 
 class TestEmbedding:
     def test_single_letter(self, omega012):
-        assert elements_equal(embed_word("a", omega012), generator_element("a", omega012))
+        # a word is the product of its letters' images, rightmost acting first
+        a, b, c = (embed_word(g, omega012) for g in "abc")
+        assert a.label == "a" and (a.radius, a.dbound) == (1, 1)
+        assert elements_equal(embed_word("abc", omega012), compose(a, compose(b, c)))
 
     def test_matches_word_problem(self, suite):
         rng = random.Random(6)
@@ -175,7 +177,7 @@ class TestEmbedding:
                 assert element_order_fg(embed_word(word, w), 32) == element_order(word, w, 32)
 
     def test_order_examples(self, omega012):
-        assert element_order_fg(generator_element("a", omega012), 8) == 2
+        assert element_order_fg(embed_word("a", omega012), 8) == 2
         assert element_order_fg(embed_word("ad", omega012), 8) == 4
         assert element_order_fg(embed_word("ab", omega012), 16) == 16
         assert element_order_fg(identity_element(omega012), 8) == 1
@@ -453,7 +455,7 @@ class TestDoubledSystem:
 
 class TestDump:
     def test_dump_contains_table(self, omega012):
-        text = dump_element(generator_element("a", omega012))
+        text = dump_element(embed_word("a", omega012))
         assert "word: a" in text
         assert "radius: 1" in text
         assert "0T -> +1" in text and "T0 -> -1" in text

@@ -171,7 +171,7 @@ class TestComplexity:
             battery.check_doubling_bound,
             battery.check_recurrence,
         ):
-            assert check(suite, battery.Caps(), battery.DEFAULT_SEED).passed
+            assert check(suite, battery.Caps(), battery.DEFAULT_SEED)[0]
         for cached in (_rho_table, _junctions):
             info = cached.cache_info()
             assert info.misses == info.currsize == 40
