@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 from . import battery, fullgroup as fg, group, schreier, subshift
@@ -20,27 +21,32 @@ EXIT_USAGE = 2
 EXIT_UNSUPPORTED = 3
 
 
-def _emit(text: str, output: str | None) -> None:
+def _emit(text: str | Iterable[str], output: str | Path | None) -> None:
+    """Write one string, or a stream of lines, to the output file or stdout."""
+    chunks = (text,) if isinstance(text, str) else text
     if output:
-        Path(output).write_text(text)
+        with open(output, "w") as fh:
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
-def _graph_json(g: schreier.LabeledGraph) -> str:
-    payload = {
-        "n": g.n,
-        "leftmost": 0,
-        "rightmost": g.n - 1,
-        "edges": [[u, v, lab] for u, v, lab in g.edges],
-    }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+def _graph_json(g: schreier.LabeledGraph) -> Iterator[str]:
+    """The object {edges, leftmost, n, rightmost} laid out exactly as
+    `json.dumps(..., sort_keys=True, indent=2)` writes it, one edge at a time;
+    every graph has an edge, so the list is never written as `[]`."""
+    yield '{\n  "edges": ['
+    sep = "\n"
+    for u, v, lab in g.edges:
+        yield f'{sep}    [\n      {u},\n      {v},\n      "{lab}"\n    ]'
+        sep = ",\n"
+    yield f'\n  ],\n  "leftmost": 0,\n  "n": {g.n},\n  "rightmost": {g.n - 1}\n}}\n'
 
 
-def _graph_text(g: schreier.LabeledGraph) -> str:
-    lines = [f"vertices: {g.n} (leftmost 0, rightmost {g.n - 1})"]
-    lines.extend(f"{u} -- {v}  {lab}" for u, v, lab in g.edges)
-    return "\n".join(lines) + "\n"
+def _graph_text(g: schreier.LabeledGraph) -> Iterator[str]:
+    yield f"vertices: {g.n} (leftmost 0, rightmost {g.n - 1})\n"
+    for u, v, lab in g.edges:
+        yield f"{u} -- {v}  {lab}\n"
 
 
 def cmd_graph(args) -> int:
@@ -175,9 +181,13 @@ def cmd_double(args) -> int:
     omega = _table_omega(args)
     lines = [f"omega={omega.spec()} max_n={args.max_n}", "n\trho_Y\tbound\tverdict"]
     all_ok = True
+    rho = lambda k: subshift.complexity(omega, k) if k else 1
     for n in range(1, args.max_n + 1):
-        lhs = len(subshift.double_language(omega, n))
-        bound = 2 * subshift.complexity(omega, (n + 1) // 2)
+        # A doubled window that starts on a marker reads floor(n/2) letters,
+        # one that starts on a letter ceil(n/2); the first character tells
+        # the two classes apart and the letters fix the window within each.
+        lhs = rho((n + 1) // 2) + rho(n // 2)
+        bound = 2 * rho((n + 1) // 2)
         ok = lhs <= bound
         all_ok = all_ok and ok
         lines.append(f"{n}\t{lhs}\t{bound}\t{'pass' if ok else 'FAIL'}")
@@ -225,7 +235,7 @@ def cmd_export(args) -> int:
     tag = omega.spec().replace(":", "_")
     for n in range(start, stop + 1):
         g = schreier.build_gamma_recursive(omega, n)
-        (outdir / f"gamma_{tag}_n{n}.dot").write_text(schreier.export_dot(g))
+        _emit(schreier.export_dot(g), outdir / f"gamma_{tag}_n{n}.dot")
         print(f"wrote gamma_{tag}_n{n}.dot ({g.n} vertices)")
     return EXIT_OK
 

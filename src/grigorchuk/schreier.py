@@ -4,8 +4,11 @@ from rho."""
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import starmap, zip_longest
+from operator import eq
 
 from .group import SYMBOL_GEN, Ray, apply_generator
 from .omega import OmegaSequence
@@ -13,32 +16,49 @@ from .omega import OmegaSequence
 Edge = tuple[int, int, str]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LabeledGraph:
     """Undirected edge-labeled multigraph with vertices 0..n-1 numbered left to
-    right along the half-line; equality is exact multiset equality of labeled
-    edges under that numbering."""
+    right along the half-line. `edges` is re-iterable in canonical sorted
+    order: a tuple for a graph made from its edges, or produced letter by
+    letter from the block word for a graph read off its word. Equality is
+    exact equality of n and of the whole edge sequence, whichever way either
+    side stores its edges."""
 
     n: int
-    edges: tuple[Edge, ...]
+    edges: Iterable[Edge]
 
     @staticmethod
     def make(n: int, edges) -> "LabeledGraph":
         canon = tuple(sorted((min(u, v), max(u, v), lab) for u, v, lab in edges))
         return LabeledGraph(n, canon)
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LabeledGraph):
+            return NotImplemented
+        # zip_longest pads the shorter sequence with None, which equals no edge.
+        return self.n == other.n and all(starmap(eq, zip_longest(self.edges, other.edges)))
+
+
+_SWAP01 = str.maketrans("01", "10")
+_DROP01 = str.maketrans("", "", "01")
+
 
 def gray_rank(bits: str) -> int:
     """Position of a binary string within the Gray order of its own length.
 
+    The order is the reflected Gray code with 0 and 1 exchanged, bit i of the
+    code being digit i of the string, so the rank is the Gray decode (the
+    prefix XOR of the higher bits) of the digits read in reverse, exchanged.
     Appending digits 1 does not change the rank, so the rank of a canonical
     ray prefix is the ray's index in the orbit ("" for rho has index 0)."""
-    if set(bits) - {"0", "1"}:
+    if bits.translate(_DROP01):  # int() would also accept "_" and whitespace
         raise ValueError(f"need a binary string, got {bits!r}")
-    rank = 0
-    for i, ch in enumerate(bits):
-        if ch == "0":
-            rank = (1 << (i + 1)) - 1 - rank
+    rank = int(bits[::-1].translate(_SWAP01) or "0", 2)
+    shift, width = 1, rank.bit_length()
+    while shift < width:
+        rank ^= rank >> shift
+        shift <<= 1
     return rank
 
 
@@ -50,21 +70,12 @@ def rho_enumeration(count: int) -> list[Ray]:
 
 
 def ray_at(index: int) -> Ray:
-    """The orbit point with the given Gray index: the inverse of `gray_rank`,
-    reading the bits from the last one down. Before bit i is appended the rank
-    is below 2^i, so a rank at or above 2^i means bit i is 0 and the rank was
-    reflected from 2^(i+1) - 1 - rank."""
+    """The orbit point with the given Gray index, the inverse of `gray_rank`:
+    the Gray code index ^ (index >> 1), read lowest bit first with 0 and 1
+    exchanged."""
     if index < 0:
         raise ValueError("index must be >= 0")
-    rank = index
-    bits = []
-    for i in reversed(range(index.bit_length())):
-        if rank >= 1 << i:
-            bits.append("0")
-            rank = (1 << (i + 1)) - 1 - rank
-        else:
-            bits.append("1")
-    return Ray("".join(reversed(bits)))
+    return Ray(format(index ^ (index >> 1), "b")[::-1].translate(_SWAP01))
 
 
 def ruler_a(i: int) -> int:
@@ -97,20 +108,31 @@ def _block_word(omega: OmegaSequence, m: int) -> str:
 _LAMBDA = {str(s): (g, *sorted(set("bcd") - {g})) for s, g in SYMBOL_GEN.items()}
 
 
+@dataclass(frozen=True)
+class _WordEdges:
+    """The edges of the half-line graph whose labels spell `word`, produced on
+    demand, letter u joining vertices u and u + 1: `T` is the a-edge Theta, a
+    symbol s the double-edge block Lambda_s with a loop labelled SYMBOL_GEN[s]
+    at both ends. When `T` alternates with symbols, as in every block word,
+    the edges come out canonically sorted."""
+
+    word: str
+
+    def __iter__(self) -> Iterator[Edge]:
+        for u, letter in enumerate(self.word):
+            if letter == "T":
+                yield (u, u + 1, "a")
+            else:
+                loop, x, y = _LAMBDA[letter]
+                yield (u, u, loop)
+                yield (u, u + 1, x)
+                yield (u, u + 1, y)
+                yield (u + 1, u + 1, loop)
+
+
 def _word_graph(word: str) -> LabeledGraph:
-    """The half-line graph whose labels spell `word`, letter u joining
-    vertices u and u + 1: `T` is the a-edge Theta, a symbol s the double-edge
-    block Lambda_s with a loop labelled SYMBOL_GEN[s] at both ends. When `T`
-    alternates with symbols, as in every block word, the edges come out
-    canonically sorted."""
-    edges: list[Edge] = []
-    for u, letter in enumerate(word):
-        if letter == "T":
-            edges.append((u, u + 1, "a"))
-        else:
-            loop, x, y = _LAMBDA[letter]
-            edges += ((u, u, loop), (u, u + 1, x), (u, u + 1, y), (u + 1, u + 1, loop))
-    return LabeledGraph(len(word) + 1, tuple(edges))
+    """The half-line graph whose labels spell `word`; it keeps only the word."""
+    return LabeledGraph(len(word) + 1, _WordEdges(word))
 
 
 @lru_cache(maxsize=1)
@@ -137,25 +159,24 @@ def build_gamma_orbit(omega: OmegaSequence, vertex_count: int, with_xi: bool) ->
         # partner, the image under the b/c/d generators that move it; when the
         # partner is out of range the whole block is cut, loop included.
         partner = next((image for _, image in images[1:] if image != v), None)
-        keep_loops = with_xi if partner is None else gray_rank(partner) < vertex_count
+        j_partner = None if partner is None else gray_rank(partner)
+        keep_loops = with_xi if partner is None else j_partner < vertex_count
         for g, image in images:
             if image == v:
                 if keep_loops:
                     edges.append((i, i, g))
             else:
-                j = gray_rank(image)
+                j = gray_rank(image) if g == "a" else j_partner
                 if i < j < vertex_count:
                     edges.append((i, j, g))
     return LabeledGraph.make(vertex_count, edges)
 
 
-def export_dot(g: LabeledGraph) -> str:
-    """Deterministic DOT text; equal graphs export byte-identically."""
-    lines = [
-        "graph schreier {",
-        f"  graph [n={g.n} leftmost=0 rightmost={g.n - 1}];",
-    ]
-    lines.extend(f'  {u} -- {v} [label="{lab}"];' for u, v, lab in g.edges)
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
+def export_dot(g: LabeledGraph) -> Iterator[str]:
+    """Deterministic DOT text, yielded line by line; equal graphs export
+    byte-identically."""
+    yield "graph schreier {\n"
+    yield f"  graph [n={g.n} leftmost=0 rightmost={g.n - 1}];\n"
+    for u, v, lab in g.edges:
+        yield f'  {u} -- {v} [label="{lab}"];\n'
+    yield "}\n"

@@ -14,6 +14,7 @@ from .omega import EventuallyConstantOmegaError, OmegaSequence
 from .schreier import _block_word
 
 ALPHABET = "T012"
+_DROP_ALPHABET = str.maketrans("", "", ALPHABET)
 MARKER = "z"
 _RADIUS_CAP = 1 << 22
 
@@ -137,7 +138,7 @@ def complexity(omega: OmegaSequence, n: int) -> int:
 
 def is_admissible(word: str, omega: OmegaSequence) -> bool:
     """Membership is a substring search in the junction words."""
-    if set(word) - set(ALPHABET):
+    if word.translate(_DROP_ALPHABET):
         raise ValueError(f"letters must be in {ALPHABET!r}, got {word!r}")
     return any(word in j for j in _junctions(omega, _level_for(len(word))))
 

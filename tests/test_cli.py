@@ -5,8 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from grigorchuk import battery, schreier, subshift
-from grigorchuk.cli import main
+from grigorchuk import battery, parse_omega, schreier, subshift
+from grigorchuk.cli import _graph_json, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -61,6 +61,16 @@ class TestGraph:
         assert code == 0
         payload = json.loads(out)
         assert payload["n"] == 4 and len(payload["edges"]) == 6
+
+    def test_streamed_json_matches_dumps(self, suite):
+        # oracle: the one-shot json.dumps of the same payload
+        graphs = [schreier.build_gamma_recursive(w, n) for w in suite for n in range(1, 6)]
+        o = parse_omega("2:01")
+        graphs += [schreier.build_gamma_orbit(o, k, xi) for k in (2, 3, 7, 40) for xi in (False, True)]
+        for g in graphs:
+            payload = {"n": g.n, "leftmost": 0, "rightmost": g.n - 1,
+                       "edges": [list(e) for e in g.edges]}
+            assert "".join(_graph_json(g)) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 class TestLanguage:

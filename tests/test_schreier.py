@@ -2,6 +2,7 @@
 the self-similarity and DOT-parsing oracles, the two independent gamma
 builders, and the Gray code order."""
 
+import hashlib
 import re
 from enum import Enum
 from pathlib import Path
@@ -305,11 +306,13 @@ class TestGammaBuilders:
     def test_orbit_equals_recursive(self, suite):
         for w in suite:
             for n in range(1, 11):
-                assert build_gamma_recursive(w, n) == build_gamma_orbit(w, 1 << (n + 1), False)
+                rec, orb = build_gamma_recursive(w, n), build_gamma_orbit(w, 1 << (n + 1), False)
+                assert rec == orb and orb == rec
 
     @given(omegas, st.integers(min_value=1, max_value=9))
     def test_recursive_equals_glued(self, w, n):
-        assert build_gamma_recursive(w, n) == glued_gamma(w, n)
+        g, glued = build_gamma_recursive(w, n), glued_gamma(w, n)
+        assert g == glued and glued == g
 
     def test_orbit_cuts_whole_blocks(self, suite):
         # Cutting the half-line after `count` vertices keeps an edge inside the
@@ -422,14 +425,18 @@ class TestSelfSimilarity:
             self_similarity_check(omega012, 0, 1)
 
 
+def dot_text(g: LabeledGraph) -> str:
+    return "".join(export_dot(g))
+
+
 class TestExport:
     def test_theta_dot(self):
-        text = export_dot(block_graph(Block.THETA))
+        text = dot_text(block_graph(Block.THETA))
         assert '0 -- 1 [label="a"];' in text
         assert text.count("--") == 1
 
     def test_lambda2_dot(self):
-        text = export_dot(block_graph(Block.L2))
+        text = dot_text(block_graph(Block.L2))
         assert text.count('[label="b"]') == 2  # loops on both vertices
         assert '0 -- 1 [label="c"];' in text
         assert '0 -- 1 [label="d"];' in text
@@ -437,19 +444,95 @@ class TestExport:
     @given(omegas, st.integers(min_value=1, max_value=6))
     def test_parse_round_trip(self, w, n):
         g = build_gamma_recursive(w, n)
-        assert parse_dot(export_dot(g)) == g
+        assert parse_dot(dot_text(g)) == g
+        assert g == parse_dot(dot_text(g))
 
     def test_parse_rejects_other_ends(self, omega012):
-        text = export_dot(build_gamma_recursive(omega012, 1))
+        text = dot_text(build_gamma_recursive(omega012, 1))
         with pytest.raises(ValueError):
             parse_dot(text.replace("rightmost=3", "rightmost=2"))
 
     def test_equal_graphs_export_identically(self, omega012):
-        a = export_dot(build_gamma_recursive(omega012, 4))
-        b = export_dot(build_gamma_orbit(omega012, 32, False))
+        a = dot_text(build_gamma_recursive(omega012, 4))
+        b = dot_text(build_gamma_orbit(omega012, 32, False))
         assert a == b
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_golden_files(self, omega012, n):
         expected = (GOLDEN / f"gamma_012_n{n}.dot").read_text()
-        assert export_dot(build_gamma_recursive(omega012, n)) == expected
+        assert dot_text(build_gamma_recursive(omega012, n)) == expected
+
+    def test_stream_is_one_line_per_item(self, omega012):
+        g = build_gamma_recursive(omega012, 3)
+        lines = list(export_dot(g))
+        assert lines[0] == "graph schreier {\n" and lines[-1] == "}\n"
+        assert all(line.endswith("\n") and line.count("\n") == 1 for line in lines)
+        assert len(lines) == 3 + sum(1 for _ in g.edges)
+
+    @pytest.mark.parametrize(
+        "spec,digest",
+        [
+            ("012", "e75590fa01315583ebe4460e19ce7dd5c335c0459355341e7a5caef545a06fd0"),
+            ("2:01", "17f65e44ebb7ac2e29d4b1148cfd27fa4b96e9af0f08bfc181624a07f3dba023"),
+        ],
+    )
+    def test_streamed_level8_digest(self, spec, digest):
+        # pinned from the level-8 DOT files written before the export streamed
+        sha = hashlib.sha256()
+        for line in export_dot(build_gamma_recursive(parse_omega(spec), 8)):
+            sha.update(line.encode())
+        assert sha.hexdigest() == digest
+
+
+class TestRepresentations:
+    """A graph read off its word and one made from a sorted edge tuple compare
+    by n and the whole edge sequence, in both operand orders."""
+
+    @staticmethod
+    def assert_equal(g, h):
+        assert g == h and h == g
+        assert not (g != h) and not (h != g)
+
+    @staticmethod
+    def assert_unequal(g, h):
+        assert g != h and h != g
+        assert not (g == h) and not (h == g)
+
+    @pytest.fixture
+    def pair(self, omega012):
+        g = build_gamma_recursive(omega012, 4)
+        return g, list(g.edges)
+
+    def test_word_graph_keeps_only_its_word(self, omega012):
+        g = build_gamma_recursive(omega012, 4)
+        assert not isinstance(g.edges, tuple)
+        assert list(g.edges) == list(g.edges)  # re-iterable
+
+    def test_equal_to_made_graph(self, pair):
+        g, edges = pair
+        assert tuple(edges) == LabeledGraph.make(g.n, edges).edges  # already canonical
+        self.assert_equal(g, LabeledGraph.make(g.n, edges))
+        self.assert_equal(g, _word_graph(g.edges.word))
+
+    def test_trailing_edge_dropped(self, pair):
+        g, edges = pair
+        self.assert_unequal(g, LabeledGraph(g.n, tuple(edges[:-1])))
+
+    def test_extra_trailing_edge(self, pair):
+        g, edges = pair
+        extra = (g.n - 1, g.n - 1, "b")
+        self.assert_unequal(g, LabeledGraph(g.n, (*edges, extra)))
+
+    def test_one_label_changed(self, pair):
+        g, edges = pair
+        u, v, lab = edges[5]
+        changed = edges[:5] + [(u, v, "a" if lab != "a" else "b")] + edges[6:]
+        self.assert_unequal(g, LabeledGraph.make(g.n, changed))
+
+    def test_other_vertex_count(self, pair):
+        g, edges = pair
+        self.assert_unequal(g, LabeledGraph(g.n + 1, tuple(edges)))
+
+    def test_not_a_graph(self, pair):
+        g, edges = pair
+        assert g != tuple(edges) and tuple(edges) != g

@@ -294,6 +294,17 @@ class TestDoubleLanguage:
             for n in range(1, 129):
                 assert len(double_language(w, n)) <= 2 * complexity(w, (n + 1) // 2)
 
+    def test_size_from_complexity(self, suite):
+        # the identity the `double` table is read through: a window starting on
+        # a marker reads floor(n/2) letters, one starting on a letter ceil(n/2),
+        # and rho(0) = 1 counts the empty word
+        rho = lambda w, k: complexity(w, k) if k else 1
+        for w in (*suite, parse_omega("0012")):
+            for n in range(1, 257):
+                # uncached, so the test keeps no doubled language alive
+                size = len(double_language.__wrapped__(w, n))
+                assert size == rho(w, (n + 1) // 2) + rho(w, n // 2), (w.spec(), n)
+
     def test_matches_interleaved_language(self, suite):
         # oracle: both phase classes interleave markers into admissible words
         for w in suite:
