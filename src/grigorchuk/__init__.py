@@ -33,7 +33,6 @@ from .subshift import (
     gamma_word,
     is_admissible,
     language,
-    morse_hedlund_check,
     render_word,
     uniform_recurrence_radius,
 )

@@ -186,6 +186,8 @@ def cmd_double(args) -> int:
         # A doubled window that starts on a marker reads floor(n/2) letters,
         # one that starts on a letter ceil(n/2); the first character tells
         # the two classes apart and the letters fix the window within each.
+        # rho never decreases, so the verdict holds by construction: the
+        # window count is the battery's doubling_bound check, and --words.
         lhs = rho((n + 1) // 2) + rho(n // 2)
         bound = 2 * rho((n + 1) // 2)
         ok = lhs <= bound

@@ -8,7 +8,6 @@ the double-edge blocks, and 'z' for the doubling marker.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate
 
 from .omega import EventuallyConstantOmegaError, OmegaSequence
 from .schreier import _block_word
@@ -78,62 +77,47 @@ def language(omega: OmegaSequence, n: int) -> frozenset[str]:
     return frozenset(_windows(omega, n))
 
 
-@lru_cache(maxsize=64)
-def _rho_table(omega: OmegaSequence, m: int) -> tuple[int, ...]:
-    """rho(n) for every n <= 2^m, from one generalized suffix automaton of the
-    level-m junction words (Blumer et al. 1985), `last` restarting at the root
-    for each word. A state v stands for the factors whose lengths lie in
-    (len(link v), len v], so one difference array over the states counts the
-    distinct factors of every length at once."""
-    length, link, nxt = [0], [-1], [{}]
-
-    def split(p: int, q: int, c: str) -> int:
-        """Clone q at length len(p) + 1 and move p's suffix path onto it."""
-        clone = len(length)
-        length.append(length[p] + 1)
-        link.append(link[q])
-        nxt.append(dict(nxt[q]))
-        link[q] = clone
-        while p >= 0 and nxt[p].get(c) == q:
-            nxt[p][c] = clone
-            p = link[p]
-        return clone
-
-    for word in _junctions(omega, m):
-        last = 0
-        for c in word:
-            q = nxt[last].get(c)
-            if q is not None:  # the factor already occurs in an earlier word
-                last = q if length[q] == length[last] + 1 else split(last, q, c)
-                continue
-            cur = len(length)
-            length.append(length[last] + 1)
-            link.append(0)
-            nxt.append({})
-            p = last
-            while p >= 0 and c not in nxt[p]:
-                nxt[p][c] = cur
-                p = link[p]
-            if p >= 0:
-                q = nxt[p][c]
-                link[cur] = q if length[q] == length[p] + 1 else split(p, q, c)
-            last = cur
-    size = 1 << m
-    diff = [0] * (size + 2)
-    diff[0], diff[1] = 1, -1  # the root: the empty word
-    for v in range(1, len(length)):
-        lo = length[link[v]] + 1
-        if lo <= size:
-            diff[lo] += 1
-            diff[min(length[v], size) + 1] -= 1
-    return tuple(accumulate(diff[: size + 1]))
-
-
 def complexity(omega: OmegaSequence, n: int) -> int:
-    """rho(n), the number of admissible words of length n."""
+    """rho(n), the number of admissible words of length n, in O(log n) steps.
+
+    The block word T x_1 T x_2 ... is a Toeplitz word (Cassaigne and Karhumaki
+    1997): x = x^(0) with x^(j)_i = omega(j + ruler(i)). A window starting on T
+    reads floor(n/2) symbols and one starting on a symbol ceil(n/2), so
+    rho(n) = p_0(floor(n/2)) + p_0(ceil(n/2)), p_j counting the factors of
+    x^(j). x^(j) has c = omega(j+1) at its odd positions and x^(j+1) at its
+    even ones; a window of either parity class is fixed by the factor of
+    x^(j+1) it reads, and the classes share only the word c^n. So for k >= 0,
+    from p_j(0) = 1 and p_j(1) = |symbols_from(j+1)|,
+
+        p_j(2k)   = 2 p_{j+1}(k) - [r_j >= k]
+        p_j(2k+1) = p_{j+1}(k) + p_{j+1}(k+1) - [r_j >= k+1],
+
+    r_j being the longest run of c in x^(j+1). If omega repeats c at the t
+    positions after j+1 but not at j+t+2 (t is finite as omega is not
+    eventually constant), x^(j+1)_i = c wherever 2^t does not divide i, never
+    at odd multiples of 2^t, and at some multiples of 2^(t+1) exactly when c
+    recurs after position j+t+2 (b = 1): r_j = 2^t (1 + b) - 1. The pair
+    (p_j(k), p_j(k+1)), k = floor(n / 2^(j+1)), is carried up from the level
+    where k = 0 to level 0, one step per bit of n."""
     if n < 1:
         raise ValueError("length must be >= 1")
-    return _rho_table(omega, _level_for(n))[n]
+    _require_not_constant(omega)
+    depth = n.bit_length() - 1
+    # omega(1), omega(2), ... until every run below `depth` ends, plus a period
+    text = omega.preperiod + omega.period * (depth // len(omega.period) + 3)
+    low, high = 1, len(set(text[depth:]))
+    for j in range(depth - 1, -1, -1):
+        c, end = text[j], j + 1
+        while text[end] == c:
+            end += 1
+        run = ((2 if c in text[end + 1 :] else 1) << (end - j - 1)) - 1
+        k = n >> (j + 2)  # (low, high) = (p_{j+1}(k), p_{j+1}(k+1))
+        middle = low + high - (run > k)
+        if n >> (j + 1) & 1:
+            low, high = middle, 2 * high - (run > k)
+        else:
+            low, high = 2 * low - (run >= k), middle
+    return low + (high if n & 1 else low)
 
 
 def is_admissible(word: str, omega: OmegaSequence) -> bool:
@@ -193,11 +177,6 @@ def uniform_recurrence_radius(omega: OmegaSequence, n: int) -> int:
         else:
             lo = mid
     return hi
-
-
-def morse_hedlund_check(omega: OmegaSequence, n: int) -> bool:
-    """Aperiodicity witness: complexity strictly above n."""
-    return complexity(omega, n) >= n + 1
 
 
 @lru_cache(maxsize=16384)

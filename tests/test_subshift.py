@@ -1,8 +1,10 @@
 """Language tests. The independent oracle is a brute factor scan of a long
 graph-word prefix; the library computes languages by the level decomposition
-instead, and the two must agree wherever the scan premise holds."""
+instead, and the two must agree wherever the scan premise holds. `complexity`
+reads no factor at all, and is checked against the window count of one length
+and against a suffix automaton of the junction words."""
 
-from itertools import product
+from itertools import accumulate, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,15 +17,14 @@ from grigorchuk import (
     gamma_word,
     is_admissible,
     language,
-    morse_hedlund_check,
     parse_omega,
     render_word,
     ruler_a,
     uniform_recurrence_radius,
 )
-from grigorchuk.omega import EventuallyConstantOmegaError
+from grigorchuk.omega import EventuallyConstantOmegaError, OmegaSequence
 from grigorchuk.schreier import _block_letters
-from grigorchuk.subshift import ALPHABET, _junctions, _rho_table, _windows
+from grigorchuk.subshift import ALPHABET, _junctions, _level_for, _windows
 
 
 def scan_factors(omega, n: int) -> frozenset:
@@ -47,6 +48,68 @@ def complexity_by_windows(omega, n: int) -> int:
     """Oracle for `complexity`: the distinct length-n windows of the junction
     words, counted for one length at a time."""
     return len(set(_windows(omega, n)))
+
+
+def rho_by_automaton(omega, max_n: int) -> list[int]:
+    """Oracle for `complexity`: rho(n) for every n <= max_n (rho(0) = 1) from
+    one generalized suffix automaton of the junction words of the level for
+    max_n (Blumer et al. 1985), `last` restarting at the root for each word.
+    A state v stands for the factors whose lengths lie in (len(link v), len v],
+    so one difference array over the states counts the distinct factors of
+    every length at once."""
+    length, link, nxt = [0], [-1], [{}]
+
+    def split(p: int, q: int, c: str) -> int:
+        """Clone q at length len(p) + 1 and move p's suffix path onto it."""
+        clone = len(length)
+        length.append(length[p] + 1)
+        link.append(link[q])
+        nxt.append(dict(nxt[q]))
+        link[q] = clone
+        while p >= 0 and nxt[p].get(c) == q:
+            nxt[p][c] = clone
+            p = link[p]
+        return clone
+
+    for word in _junctions(omega, _level_for(max_n)):
+        last = 0
+        for c in word:
+            q = nxt[last].get(c)
+            if q is not None:  # the factor already occurs in an earlier word
+                last = q if length[q] == length[last] + 1 else split(last, q, c)
+                continue
+            cur = len(length)
+            length.append(length[last] + 1)
+            link.append(0)
+            nxt.append({})
+            p = last
+            while p >= 0 and c not in nxt[p]:
+                nxt[p][c] = cur
+                p = link[p]
+            if p >= 0:
+                q = nxt[p][c]
+                link[cur] = q if length[q] == length[p] + 1 else split(p, q, c)
+            last = cur
+    diff = [0] * (max_n + 2)
+    diff[0], diff[1] = 1, -1  # the root: the empty word
+    for v in range(1, len(length)):
+        lo = length[link[v]] + 1
+        if lo <= max_n:
+            diff[lo] += 1
+            diff[min(length[v], max_n) + 1] -= 1
+    return list(accumulate(diff[: max_n + 1]))
+
+
+def short_omegas() -> list:
+    """Every omega that is not eventually constant, with preperiod of length
+    at most 2 and period of length at most 3: 13 preperiods times 30 periods."""
+    words = lambda lengths: ["".join(p) for k in lengths for p in product("012", repeat=k)]
+    return [
+        OmegaSequence(pre, per)
+        for pre in words(range(3))
+        for per in words(range(1, 4))
+        if len(set(per)) > 1
+    ]
 
 
 def interleave(word: str, n: int, z_first: bool) -> str:
@@ -140,10 +203,6 @@ class TestComplexity:
             for m in range(1, 8):
                 assert complexity(w, 1 << m) <= 3 << m
 
-    def test_morse_hedlund(self, suite):
-        for w in suite:
-            assert all(morse_hedlund_check(w, n) for n in range(1, 65))
-
     def test_matches_windows(self, suite):
         for w in suite:
             for n in range(1, 301):
@@ -162,9 +221,11 @@ class TestComplexity:
         assert complexity(parse_omega(spec), 4096) == rho
 
     def test_verify_builds_each_table_once(self, suite):
-        # the subshift checks of a full `verify` ask for 40 (omega, level)
-        # keys of each cache; both caches hold them all without evicting
-        _rho_table.cache_clear()
+        # `complexity` reads no junction word, so the keys come from the
+        # recurrence check: its radius searches reach level 8 (radii up to
+        # 256) on 012 and 10:012 and level 7 on 01, 02 and 2:01, 2*8 + 3*7 =
+        # 37 (omega, level) keys; the doubling check's levels 1..6 are among
+        # them. The cache holds them all without evicting.
         _junctions.cache_clear()
         for check in (
             battery.check_complexity_bounds,
@@ -172,9 +233,37 @@ class TestComplexity:
             battery.check_recurrence,
         ):
             assert check(suite, battery.Caps(), battery.DEFAULT_SEED)[0]
-        for cached in (_rho_table, _junctions):
-            info = cached.cache_info()
-            assert info.misses == info.currsize == 40
+        info = _junctions.cache_info()
+        assert info.misses == info.currsize == 37
+
+    def test_matches_automaton_short_omegas(self):
+        omegas = short_omegas()
+        assert len(omegas) == 390
+        for w in omegas:
+            rho = rho_by_automaton(w, 256)
+            assert [complexity(w, n) for n in range(1, 257)] == rho[1:], w.spec()
+
+    def test_matches_automaton_suite(self, suite):
+        for w in suite:
+            rho = rho_by_automaton(w, 4096)
+            assert [complexity(w, n) for n in range(1, 4097)] == rho[1:], w.spec()
+
+    @pytest.mark.parametrize("spec,coefficient", [("012", 5), ("2:01", 3)])
+    def test_powers_of_two(self, spec, coefficient):
+        # r_j = 1 at every level j >= 1 of both, so rho doubles with n from
+        # n = 8 on; k = 40 is far beyond any table the automaton could build
+        w = parse_omega(spec)
+        assert all(complexity(w, 1 << k) == coefficient << (k - 1) for k in range(3, 80))
+
+    @pytest.mark.parametrize("spec", ["0:1", "2", "01:2"])
+    def test_rejects_eventually_constant(self, spec):
+        with pytest.raises(EventuallyConstantOmegaError):
+            complexity(parse_omega(spec), 5)
+
+    def test_rejects_short_length(self, omega012):
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="length must be >= 1"):
+                complexity(omega012, n)
 
 
 class TestRightSpecial:
