@@ -4,8 +4,6 @@ the group into the topological full group of that subshift."""
 
 from .omega import EventuallyConstantOmegaError, OmegaParseError, OmegaSequence, parse_omega
 from .group import (
-    RHO,
-    Ray,
     apply_generator,
     apply_word,
     ball_sizes,
@@ -14,7 +12,6 @@ from .group import (
     is_trivial,
     normalize_word,
     root_and_sections,
-    words_equal,
 )
 from .schreier import (
     LabeledGraph,
@@ -23,7 +20,6 @@ from .schreier import (
     export_dot,
     gray_rank,
     ray_at,
-    rho_enumeration,
     ruler_a,
 )
 from .subshift import (
@@ -42,7 +38,6 @@ from .fullgroup import (
     Window,
     commutator_identity_check,
     compose,
-    diagonal_element,
     double_element,
     dump_element,
     element_order_fg,

@@ -117,12 +117,17 @@ def cmd_complexity(args) -> int:
 
 def cmd_orbit(args) -> int:
     omega = parse_omega(args.omega)
-    rays = schreier.rho_enumeration(args.count)
-    lines = [f"omega={omega.spec()} count={args.count}", "index\tprefix\tfixing"]
-    for i, ray in enumerate(rays):
-        fixing = "-" if ray.prefix == "" else group.fixing_generator(ray, omega)
-        lines.append(f"{i}\t{ray.prefix or 'rho'}\t{fixing}")
-    _emit("\n".join(lines) + "\n", args.output)
+    if args.count < 1:
+        raise ValueError("count must be >= 1")
+
+    def rows() -> Iterator[str]:
+        yield f"omega={omega.spec()} count={args.count}\nindex\tprefix\tfixing\n"
+        for i in range(args.count):
+            prefix = schreier.ray_at(i).prefix
+            fixing = group.fixing_generator(prefix, omega) if prefix else "-"
+            yield f"{i}\t{prefix or 'rho'}\t{fixing}\n"
+
+    _emit(rows(), args.output)
     return EXIT_OK
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
-from .group import GEN_SYMBOL, _check_word, apply_word, find_moved_vertex, is_trivial
+from .group import GEN_SYMBOL, _check_word, apply_generator, find_moved_vertex, is_trivial
 from .omega import OmegaSequence
 from .schreier import _block_letters, gray_rank, ray_at
 from .subshift import (
@@ -298,9 +298,11 @@ def schreier_consistency(word: str, omega: OmegaSequence, j: int) -> bool:
         raise ValueError("need j > |word| to stay clear of the basepoint")
     e = embed_word(word, omega)
     window = schreier_window(omega, j, e.radius)
-    ray = ray_at(j)
-    displacement = gray_rank(apply_word(word, ray, omega).prefix) - j
-    return e.cocycle(window) == displacement
+    p = ray_at(j).prefix
+    for g in reversed(word):
+        # A ray acts as the vertex p + "1" for one step only: pad each image again.
+        p = apply_generator(g, p + "1", omega).rstrip("1")
+    return e.cocycle(window) == gray_rank(p) - j
 
 
 def _joint_occurrence(u: str, k: int, omega: OmegaSequence) -> bool:
@@ -376,10 +378,6 @@ def double_element(e: FullGroupElement, copy: int) -> FullGroupElement:
     return FullGroupElement(e.omega, "B", (factor,), label=f"dbl{copy}({e.label})")
 
 
-def diagonal_element(e: FullGroupElement) -> FullGroupElement:
-    return compose(double_element(e, 1), double_element(e, 2))
-
-
 def commutator_identity_check(word: str, omega: OmegaSequence) -> bool:
     """For an involution g, the diagonal image in the doubled system equals
     g1 tau g1 tau, exhibiting it as a commutator."""
@@ -389,7 +387,7 @@ def commutator_identity_check(word: str, omega: OmegaSequence) -> bool:
     g1 = double_element(g, 1)
     t = tau(omega)
     rhs = compose(g1, compose(t, compose(g1, t)))
-    return elements_equal(diagonal_element(g), rhs)
+    return elements_equal(compose(g1, double_element(g, 2)), rhs)
 
 
 def dump_element(e: FullGroupElement) -> str:

@@ -6,7 +6,6 @@ applied first, so apply_word("xy", v) == apply x after y.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .omega import OmegaSequence
@@ -20,36 +19,16 @@ SYMBOL_GEN = {2: "b", 1: "c", 0: "d"}
 _KLEIN = {"bc": "d", "cb": "d", "bd": "c", "db": "c", "cd": "b", "dc": "b"}
 
 
-@dataclass(frozen=True)
-class Ray:
-    """A boundary point cofinal with rho = 111..., stored as the finite prefix
-    before the infinite tail of 1s. Canonical form strips trailing 1s, so rho
-    itself has empty prefix and ray equality is string equality."""
-
-    prefix: str = ""
-
-    def __post_init__(self) -> None:
-        if set(self.prefix) - {"0", "1"}:
-            raise ValueError(f"ray prefix must be binary, got {self.prefix!r}")
-        object.__setattr__(self, "prefix", self.prefix.rstrip("1"))
-
-    def __str__(self) -> str:
-        return (self.prefix or "") + "111..."
-
-
-RHO = Ray("")
-
-
 def _check_word(word: str) -> None:
     bad = set(word) - set(GENERATORS)
     if bad:
         raise ValueError(f"word letters must be in a/b/c/d, got {sorted(bad)}")
 
 
-def fixing_generator(r: Ray, omega: OmegaSequence) -> str:
-    """The unique letter among b, c, d that fixes r (undefined for rho): the
-    one whose symbol omega reads at the first 0 digit of r."""
-    pos = r.prefix.find("0")
+def fixing_generator(prefix: str, omega: OmegaSequence) -> str:
+    """The unique letter among b, c, d that fixes the ray with this prefix
+    (undefined for rho): the one whose symbol omega reads at its first 0."""
+    pos = prefix.find("0")
     if pos < 0:
         raise ValueError("rho is fixed by all of b, c, d")
     return SYMBOL_GEN[omega.at(pos + 1)]
@@ -59,21 +38,16 @@ def _flip(bit: str) -> str:
     return "1" if bit == "0" else "0"
 
 
-def apply_generator(letter: str, target, omega: OmegaSequence):
-    """Act by one generator on a TreeVertex (str over 0/1) or a Ray.
+def apply_generator(letter: str, v: str, omega: OmegaSequence) -> str:
+    """Act by one generator on the tree vertex v, a string over 0/1.
 
-    A ray acts as the vertex prefix + "1": a generator reads at most the digit
-    after the first 0, and the first 0 of prefix + "1" is the first 0 of the
-    canonical prefix, so that digit always exists. Only one step is exact this
-    way, because an image may end in 0; `Ray` re-pads every image."""
-    if letter not in GENERATORS:
+    A ray, stored as its canonical prefix, acts as the vertex prefix + "1": a
+    generator reads at most the digit after the first 0, and the first 0 of
+    prefix + "1" is the first 0 of the canonical prefix, so that digit always
+    exists. Only one step is exact this way, because an image may end in 0;
+    strip the image's trailing 1s and pad again before the next step."""
+    if len(letter) != 1 or letter not in GENERATORS:
         raise ValueError(f"unknown generator {letter!r}")
-    if isinstance(target, Ray):
-        return Ray(_apply_vertex(letter, target.prefix + "1", omega))
-    return _apply_vertex(letter, target, omega)
-
-
-def _apply_vertex(letter: str, v: str, omega: OmegaSequence) -> str:
     if letter == "a":
         return v if not v else _flip(v[0]) + v[1:]
     j = v.find("0") + 1  # 1-based position of the first 0
@@ -84,12 +58,12 @@ def _apply_vertex(letter: str, v: str, omega: OmegaSequence) -> str:
     return v[:j] + _flip(v[j]) + v[j + 1:]
 
 
-def apply_word(word: str, target, omega: OmegaSequence):
-    """Fold of apply_generator, rightmost letter first."""
+def apply_word(word: str, v: str, omega: OmegaSequence) -> str:
+    """Fold of apply_generator over the tree vertex v, rightmost letter first."""
     _check_word(word)
     for letter in reversed(word):
-        target = apply_generator(letter, target, omega)
-    return target
+        v = apply_generator(letter, v, omega)
+    return v
 
 
 def normalize_word(word: str) -> str:
@@ -162,11 +136,6 @@ def is_trivial(word: str, omega: OmegaSequence) -> bool:
     length <= ceil((n+1)/2) < n for n >= 2, so the recursion terminates.
     """
     return _trivial_normalized(normalize_word(word), omega)
-
-
-def words_equal(w1: str, w2: str, omega: OmegaSequence) -> bool:
-    """Every generator is an involution, so the inverse is the reversed word."""
-    return is_trivial(w1 + w2[::-1], omega)
 
 
 def element_order(word: str, omega: OmegaSequence, max_order: int) -> int | None:

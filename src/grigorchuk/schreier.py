@@ -9,8 +9,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import starmap, zip_longest
 from operator import eq
+from typing import NamedTuple
 
-from .group import SYMBOL_GEN, Ray, apply_generator
+from .group import SYMBOL_GEN, apply_generator
 from .omega import OmegaSequence
 
 Edge = tuple[int, int, str]
@@ -62,20 +63,22 @@ def gray_rank(bits: str) -> int:
     return rank
 
 
-def rho_enumeration(count: int) -> list[Ray]:
-    """The first `count` orbit points in Gray order, as canonical rays."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    return [ray_at(j) for j in range(count)]
+class _OrbitPoint(NamedTuple):
+    """An orbit point as its canonical prefix, kept only because the benchmark
+    reads `ray_at(j).prefix`; once it reads the string, `ray_at` returns the
+    bare prefix and this record goes."""
+
+    prefix: str
 
 
-def ray_at(index: int) -> Ray:
+def ray_at(index: int) -> _OrbitPoint:
     """The orbit point with the given Gray index, the inverse of `gray_rank`:
     the Gray code index ^ (index >> 1), read lowest bit first with 0 and 1
-    exchanged."""
+    exchanged. That reading ends in 0 for every index but 0, which reads "1";
+    stripping trailing 1s turns it into rho's empty prefix."""
     if index < 0:
         raise ValueError("index must be >= 0")
-    return Ray(format(index ^ (index >> 1), "b")[::-1].translate(_SWAP01))
+    return _OrbitPoint(format(index ^ (index >> 1), "b")[::-1].translate(_SWAP01).rstrip("1"))
 
 
 def ruler_a(i: int) -> int:

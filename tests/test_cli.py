@@ -1,5 +1,6 @@
 """CLI surface tests: subcommands, exit codes, determinism."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -146,6 +147,25 @@ class TestBallOrbitEmbedDouble:
         code, out, _ = run(capsys, "orbit", "--omega", "012", "--count", "4")
         assert code == 0
         assert "0\trho\t-" in out and "3\t10\tc" in out
+
+    @pytest.mark.parametrize(
+        "spec,digest",
+        [
+            ("012", "5b85646ef43ccc5661ce0a66019530efbf009d14fca0bb239718eb1d87f4f08b"),
+            ("2:01", "e4e5a3a8329d610ed9c6a82bb95c0f9804486952fe5998512bd4cf7bb09e7a24"),
+        ],
+    )
+    def test_orbit_digest(self, capsys, spec, digest):
+        # pinned from the listing built in one piece before the rows streamed
+        code, out, _ = run(capsys, "orbit", "--omega", spec, "--count", "4096")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_orbit_count_below_one_exits_2(self, capsys, count):
+        code, out, err = run(capsys, "orbit", "--omega", "012", "--count", count)
+        assert code == 2 and out == ""
+        assert err == "error: count must be >= 1\n"
 
     def test_embed_witness(self, capsys):
         for word in ("ab", "ab" * 300):

@@ -3,6 +3,7 @@ implementation: the literal generator recursion for actions, and exhaustive
 action checks for triviality."""
 
 import random
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
@@ -10,8 +11,6 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from grigorchuk import (
-    RHO,
-    Ray,
     apply_generator,
     apply_word,
     ball_sizes,
@@ -21,8 +20,8 @@ from grigorchuk import (
     is_trivial,
     normalize_word,
     parse_omega,
+    ray_at,
     root_and_sections,
-    words_equal,
 )
 from grigorchuk.group import _element_keys, _square_normalized
 from grigorchuk.omega import OmegaSequence
@@ -70,6 +69,36 @@ def oracle_fixes_all(word: str, omega: OmegaSequence, depth: int) -> bool:
     )
 
 
+@dataclass(frozen=True)
+class Ray:
+    """Oracle for the ray path: a boundary point cofinal with rho = 111...,
+    validated and stored as its canonical prefix (trailing 1s stripped), so
+    ray equality is prefix equality. The package keeps only the prefix."""
+
+    prefix: str = ""
+
+    def __post_init__(self) -> None:
+        if set(self.prefix) - {"0", "1"}:
+            raise ValueError(f"ray prefix must be binary, got {self.prefix!r}")
+        object.__setattr__(self, "prefix", self.prefix.rstrip("1"))
+
+
+RHO = Ray("")
+
+
+def ray_apply(word: str, r: Ray, omega: OmegaSequence) -> Ray:
+    """apply_word on a ray: each step acts on the vertex prefix + "1" and
+    re-pads its image through Ray."""
+    for letter in reversed(word):
+        r = Ray(apply_generator(letter, r.prefix + "1", omega))
+    return r
+
+
+def words_equal(w1: str, w2: str, omega: OmegaSequence) -> bool:
+    """Every generator is an involution, so the inverse is the reversed word."""
+    return is_trivial(w1 + w2[::-1], omega)
+
+
 def orbit_contains(r: Ray, omega: OmegaSequence) -> tuple[bool, str]:
     """Every Ray value lies in the orbit of rho; the witness word maps rho to r
     by alternating first-digit flips with double-edge moves along the orbit
@@ -81,9 +110,9 @@ def orbit_contains(r: Ray, omega: OmegaSequence) -> tuple[bool, str]:
         if i % 2 == 0:
             letter = "a"
         else:
-            fixed = fixing_generator(current, omega)
+            fixed = fixing_generator(current.prefix, omega)
             letter = next(g for g in "bcd" if g != fixed)
-        current = apply_generator(letter, current, omega)
+        current = ray_apply(letter, current, omega)
         word.append(letter)
     if current != r:
         raise RuntimeError(f"move walk failed to reach {r!r}")
@@ -131,17 +160,17 @@ def order_by_scan(word: str, omega: OmegaSequence, max_order: int) -> int | None
 
 class TestActions:
     def test_a_on_rho(self, omega012):
-        assert apply_generator("a", RHO, omega012) == Ray("0")
+        assert ray_apply("a", RHO, omega012) == Ray("0")
 
     def test_b_on_ray_10(self, omega012):
-        assert apply_generator("b", Ray("10"), omega012) == Ray("100")
+        assert ray_apply("b", Ray("10"), omega012) == Ray("100")
 
     def test_c_fixes_ray_10(self, omega012):
-        assert apply_generator("c", Ray("10"), omega012) == Ray("10")
+        assert ray_apply("c", Ray("10"), omega012) == Ray("10")
 
     def test_bcd_fix_rho(self, omega012):
         for g in "bcd":
-            assert apply_generator(g, RHO, omega012) == RHO
+            assert ray_apply(g, RHO, omega012) == RHO
 
     @given(st.sampled_from("abcd"), vertices, omegas)
     def test_vertex_action_matches_literal_recursion(self, g, v, w):
@@ -154,13 +183,13 @@ class TestActions:
         ray = Ray(prefix)
         pad = len(prefix) + 4
         truncated = ray.prefix + "1" * (pad - len(ray.prefix))
-        image = apply_generator(g, ray, w)
+        image = ray_apply(g, ray, w)
         oracle = oracle_apply(g, truncated, w)
         assert image == Ray(oracle)
 
     def test_ray_action_matches_truncation_exhaustively(self, suite):
-        # the only check of the ray path: apply_generator reads a ray as the
-        # vertex prefix + "1", so every short prefix is checked on every omega
+        # the only exhaustive check of the ray path: a ray acts as the vertex
+        # prefix + "1", so every short prefix is checked on every omega
         prefixes = [
             "".join(bits) for n in range(11) for bits in product("01", repeat=n)
         ]
@@ -168,7 +197,7 @@ class TestActions:
             for prefix in prefixes:
                 truncated = prefix + "1111"
                 for g in "abcd":
-                    assert apply_generator(g, Ray(prefix), w) == Ray(oracle_apply(g, truncated, w))
+                    assert ray_apply(g, Ray(prefix), w) == Ray(oracle_apply(g, truncated, w))
 
     @given(words, vertices, omegas)
     def test_word_action_matches_oracle(self, word, v, w):
@@ -176,7 +205,13 @@ class TestActions:
 
     def test_empty_word_is_identity(self, omega012):
         assert apply_word("", "0110", omega012) == "0110"
-        assert apply_word("", Ray("10"), omega012) == Ray("10")
+        assert apply_word("", "", omega012) == ""
+
+    @pytest.mark.parametrize("letter", ["", "ab", "bc", "cd", "e"])
+    def test_rejects_non_generator(self, letter, omega012):
+        # exactly one of a/b/c/d: a substring test would pass "", "ab", "bc", "cd"
+        with pytest.raises(ValueError):
+            apply_generator(letter, "0110", omega012)
 
     @given(vertices, omegas)
     def test_aa_fixes_everything(self, v, w):
@@ -195,34 +230,35 @@ class TestActions:
 
 class TestRays:
     def test_canonical_form_strips_trailing_ones(self):
-        assert Ray("0111").prefix == "0"
-        assert Ray("11").prefix == ""
+        # trailing 1s change neither the ray nor its rank; ray_at gives the canonical prefix
+        assert ray_at(gray_rank("0111")).prefix == "0"
+        assert ray_at(gray_rank("11")).prefix == ""
 
     def test_first_zero(self, omega012):
         # b/c/d fix a ray by the omega symbol at its first 0; later 0s do not count
-        assert fixing_generator(Ray("0110"), omega012) == "d"
-        assert fixing_generator(Ray("1101"), omega012) == "b"
-        assert fixing_generator(Ray("1" * 9 + "00"), omega012) == "d"
-        assert fixing_generator(Ray("1" * 10 + "0"), omega012) == "c"
+        assert fixing_generator("0110", omega012) == "d"
+        assert fixing_generator("1101", omega012) == "b"
+        assert fixing_generator("1" * 9 + "00", omega012) == "d"
+        assert fixing_generator("1" * 10 + "0", omega012) == "c"
 
     def test_fixing_generator(self, omega012):
-        assert fixing_generator(Ray("0"), omega012) == "d"
-        assert fixing_generator(Ray("10"), omega012) == "c"
-        assert fixing_generator(Ray("110"), omega012) == "b"
+        assert fixing_generator("0", omega012) == "d"
+        assert fixing_generator("10", omega012) == "c"
+        assert fixing_generator("110", omega012) == "b"
 
     def test_fixing_generator_rejects_rho(self, omega012):
         with pytest.raises(ValueError):
-            fixing_generator(RHO, omega012)
+            fixing_generator("", omega012)
 
     @given(st.text(alphabet="01", min_size=1, max_size=8), omegas)
     def test_fixing_generator_fixes(self, prefix, w):
         ray = Ray(prefix)
         if ray == RHO:
             return
-        g = fixing_generator(ray, w)
-        assert apply_generator(g, ray, w) == ray
+        g = fixing_generator(ray.prefix, w)
+        assert ray_apply(g, ray, w) == ray
         movers = [s for s in "bcd" if s != g]
-        images = {apply_generator(s, ray, w) for s in movers}
+        images = {ray_apply(s, ray, w) for s in movers}
         assert len(images) == 1 and images != {ray}
 
 
@@ -414,4 +450,4 @@ class TestOrbitWitness:
         ray = Ray(prefix)
         ok, word = orbit_contains(ray, w)
         assert ok
-        assert apply_word(word, RHO, w) == ray
+        assert ray_apply(word, RHO, w) == ray

@@ -12,7 +12,6 @@ from hypothesis import example, given, strategies as st
 
 from grigorchuk import (
     LabeledGraph,
-    Ray,
     apply_generator,
     build_gamma_orbit,
     build_gamma_recursive,
@@ -20,7 +19,6 @@ from grigorchuk import (
     fixing_generator,
     parse_omega,
     ray_at,
-    rho_enumeration,
     ruler_a,
 )
 from grigorchuk.group import SYMBOL_GEN
@@ -218,7 +216,7 @@ class TestGrayCode:
         assert [gray_rank(s) for s in reflected_gray(level)] == list(range(1 << level))
         # the rank is stable under the trailing-1 padding that defines rays
         for j, s in enumerate(reflected_gray(level)):
-            assert gray_rank(Ray(s).prefix) == j
+            assert gray_rank(s.rstrip("1")) == j
 
     @given(st.integers(min_value=0, max_value=1 << 64))
     @example(0)
@@ -228,26 +226,32 @@ class TestGrayCode:
         assert gray_rank(ray_at(j).prefix) == j
         assert gray_rank("") == 0
 
+    def test_unrank_is_canonical(self):
+        # index 0 reads "1" before its trailing 1s are stripped
+        assert ray_at(0).prefix == ""
+        assert not any(ray_at(j).prefix.endswith("1") for j in range(1 << 12))
+
 
 class TestRhoEnumeration:
     def test_first_four(self):
-        assert [r.prefix for r in rho_enumeration(4)] == ["", "0", "00", "10"]
+        assert [ray_at(j).prefix for j in range(4)] == ["", "0", "00", "10"]
 
     def test_single(self):
-        assert rho_enumeration(1) == [Ray("")]
+        assert ray_at(0).prefix == ""
 
     def test_ray_at_matches(self):
-        rays = rho_enumeration(64)
-        assert [ray_at(i) for i in range(64)] == rays
+        # the canonical prefixes of the reflected construction, in order
+        assert [ray_at(i).prefix for i in range(64)] == [s.rstrip("1") for s in reflected_gray(6)]
 
     def test_moves_alternate(self, omega012):
-        rays = rho_enumeration(256)
+        rays = [ray_at(j).prefix for j in range(256)]
         for j in range(255):
-            cur, nxt = rays[j], rays[j + 1]
+            # a ray acts as the vertex prefix + "1"; the image is re-canonicalized
+            cur, nxt = rays[j] + "1", rays[j + 1]
             if j % 2 == 0:  # move flips the first digit
-                assert apply_generator("a", cur, omega012) == nxt
+                assert apply_generator("a", cur, omega012).rstrip("1") == nxt
             else:  # move flips the digit after the first zero
-                movers = [g for g in "bcd" if apply_generator(g, cur, omega012) == nxt]
+                movers = [g for g in "bcd" if apply_generator(g, cur, omega012).rstrip("1") == nxt]
                 assert len(movers) == 2
 
 
@@ -277,7 +281,7 @@ class TestDeltaBlocks:
 
     def test_first_zero_rule(self, omega012):
         # the i-th double edge joins rays whose fixing generator is s_{omega(a_i)}
-        rays = rho_enumeration(64)
+        rays = [ray_at(j).prefix for j in range(64)]
         for i in range(1, 32):
             left, right = rays[2 * i - 1], rays[2 * i]
             expected_loop = {0: "d", 1: "c", 2: "b"}[omega012.at(ruler_a(i))]
@@ -378,7 +382,7 @@ class TestGammaBuilders:
 
     def test_loop_labels_match_fixing_generator(self, omega012):
         g = build_gamma_orbit(omega012, 128, with_xi=False)
-        rays = rho_enumeration(128)
+        rays = [ray_at(j).prefix for j in range(128)]
         for u, v, lab in g.edges:
             if u == v:
                 assert fixing_generator(rays[u], omega012) == lab
