@@ -7,6 +7,7 @@ applied first, so apply_word("xy", v) == apply x after y.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 
 from .omega import OmegaSequence
 
@@ -18,11 +19,45 @@ SYMBOL_GEN = {2: "b", 1: "c", 0: "d"}
 
 _KLEIN = {"bc": "d", "cb": "d", "bd": "c", "db": "c", "cd": "b", "dc": "b"}
 
+_DROP_GENERATORS = str.maketrans("", "", GENERATORS)
+
 
 def _check_word(word: str) -> None:
-    bad = set(word) - set(GENERATORS)
+    bad = word.translate(_DROP_GENERATORS)
     if bad:
-        raise ValueError(f"word letters must be in a/b/c/d, got {sorted(bad)}")
+        raise ValueError(f"word letters must be in a/b/c/d, got {sorted(set(bad))}")
+
+
+class _RunProducts(dict):
+    """The Klein product of a run of b/c/d letters: looked up for runs of at
+    most four letters, counted by parities (and not stored) for longer ones."""
+
+    def __missing__(self, run: str) -> str:
+        # b, c, d are 1, 2, 3 in the Klein group as (Z/2)^2, written as XOR
+        x = (run.count("b") & 1) ^ (run.count("c") & 1) * 2 ^ (run.count("d") & 1) * 3
+        return ("", "b", "c", "d")[x]
+
+
+_RUN_PRODUCT = _RunProducts()
+_RUN_PRODUCT.update(
+    (run, _RUN_PRODUCT[run]) for n in range(5) for run in map("".join, product("bcd", repeat=n))
+)
+
+
+def _section_tables(first: int) -> tuple[dict[int, str | None], dict[int, str | None]]:
+    """translate tables giving section 0 and section 1 of a word whose b/c/d
+    letters are upper case where an odd number of a-letters follows them.
+    A letter goes into one section as itself and into the other as a, or as
+    nothing when omega reads its symbol at 1 (its section there is trivial)."""
+    to_section0, to_section1 = {}, {}
+    for g in "bcd":
+        other = None if GEN_SYMBOL[g] == first else "a"
+        to_section0[g.upper()], to_section0[g] = g, other
+        to_section1[g.upper()] = other
+    return str.maketrans(to_section0), str.maketrans(to_section1)
+
+
+_SECTION_TABLES = {k: _section_tables(k) for k in SYMBOL_GEN}
 
 
 def fixing_generator(prefix: str, omega: OmegaSequence) -> str:
@@ -59,11 +94,22 @@ def apply_generator(letter: str, v: str, omega: OmegaSequence) -> str:
 
 
 def apply_word(word: str, v: str, omega: OmegaSequence) -> str:
-    """Fold of apply_generator over the tree vertex v, rightmost letter first."""
+    """The action of the word (rightmost letter first) on the tree vertex v,
+    a string over 0/1, through the wreath recursion w(xv) = swap(x) section_x(v):
+    one decomposition per digit until the section has at most one letter, then
+    one generator step on the rest of v. Sections contract, so this costs
+    O(|word| + |v|)."""
     _check_word(word)
-    for letter in reversed(word):
-        v = apply_generator(letter, v, omega)
-    return v
+    w, digits = _normalize(word), []
+    while len(w) > 1 and len(digits) < len(v):
+        x = v[len(digits)]
+        swap, s0, s1 = _sections(w, omega.at(len(digits) + 1))
+        digits.append(_flip(x) if swap else x)
+        w = _normalize(s0 if x == "0" else s1)
+    rest = v[len(digits):]
+    if w and rest:
+        rest = apply_generator(w, rest, omega.shift(len(digits)))
+    return "".join(digits) + rest
 
 
 def normalize_word(word: str) -> str:
@@ -72,17 +118,27 @@ def normalize_word(word: str) -> str:
     alternates a-letters and single letters from {b,c,d} and represents the
     same element of every G_omega."""
     _check_word(word)
-    # The stack alternates, so the letter below a b/c/d top is a or nothing
-    # and a fusion never cascades.
-    stack: list[str] = []
-    for ch in word:
-        top = stack[-1] if stack else ""
-        if top == ch:
+    return _normalize(word)
+
+
+def _normalize(word: str) -> str:
+    # Each b/c/d run fuses to its Klein product. A run that fuses to nothing
+    # strictly inside the word leaves "aa", which cancels; the normal pieces
+    # between those cancellations are joined at their seams, where equal
+    # letters cancel outwards and a Klein pair then fuses once.
+    pieces = "a".join(map(_RUN_PRODUCT.__getitem__, word.split("a"))).split("aa")
+    if len(pieces) == 1:
+        return pieces[0]
+    stack = list(pieces[0])
+    for piece in pieces[1:]:
+        k, n = 0, len(piece)
+        while k < n and stack and stack[-1] == piece[k]:
             stack.pop()
-        elif top + ch in _KLEIN:
-            stack[-1] = _KLEIN[top + ch]
-        else:
-            stack.append(ch)
+            k += 1
+        if k < n and stack and stack[-1] + piece[k] in _KLEIN:
+            stack[-1] = _KLEIN[stack[-1] + piece[k]]
+            k += 1
+        stack.extend(piece[k:])
     return "".join(stack)
 
 
@@ -94,19 +150,18 @@ def root_and_sections(word: str, omega: OmegaSequence) -> tuple[bool, str, str]:
     Only a normalized word of length >= 2 is sure to have shorter sections.
     """
     _check_word(word)
-    swap = False
-    s0: list[str] = []
-    s1: list[str] = []
-    first = omega.at(1)
-    for ch in word:
-        if ch == "a":
-            swap = not swap
-            s0, s1 = s1, s0
-        else:
-            if GEN_SYMBOL[ch] != first:
-                s0.append("a")
-            s1.append(ch)
-    return swap, "".join(s0), "".join(s1)
+    return _sections(word, omega.at(1))
+
+
+def _sections(word: str, first: int) -> tuple[bool, str, str]:
+    # root_and_sections over an omega that reads `first` at 1. A b/c/d letter
+    # followed by an odd number of a-letters lands in section 0 as itself,
+    # else in section 1; upper case marks the first kind, run by run.
+    runs = word.split("a")
+    runs[-2::-2] = word.upper().split("A")[-2::-2]
+    marked = "".join(runs)
+    to_section0, to_section1 = _SECTION_TABLES[first]
+    return len(runs) % 2 == 0, marked.translate(to_section0), marked.translate(to_section1)
 
 
 @lru_cache(maxsize=262144)
@@ -120,13 +175,13 @@ def _trivial_normalized(word: str, omega: OmegaSequence) -> bool:
         # first-level permutation trivial (possible for eventually constant
         # omega, e.g. b over the constant-2 sequence).
         return omega.symbols_from(1) <= {GEN_SYMBOL[word]}
-    swap, s0, s1 = root_and_sections(word, omega)
+    swap, s0, s1 = _sections(word, omega.at(1))
     if swap:
         return False
     shifted = omega.shift(1)
-    return _trivial_normalized(
-        normalize_word(s0), shifted
-    ) and _trivial_normalized(normalize_word(s1), shifted)
+    return _trivial_normalized(_normalize(s0), shifted) and _trivial_normalized(
+        _normalize(s1), shifted
+    )
 
 
 def is_trivial(word: str, omega: OmegaSequence) -> bool:
@@ -171,27 +226,28 @@ def _square_normalized(p: str) -> str:
 
 
 def find_moved_vertex(word: str, omega: OmegaSequence) -> str:
-    """Some tree vertex moved by a nontrivial word, found through the section
-    recursion (cheap: no exhaustive level scans)."""
+    """Some tree vertex moved by a nontrivial word, found by walking down its
+    nontrivial sections (cheap: no exhaustive level scans)."""
     w = normalize_word(word)
     if _trivial_normalized(w, omega):
         raise ValueError("trivial words move no vertex")
-    if len(w) == 1:
-        if w == "a":
-            return "0"
-        k = GEN_SYMBOL[w]
-        m = 1
-        while omega.at(m) == k:
-            m += 1
-        return "1" * (m - 1) + "00"
-    swap, s0, s1 = root_and_sections(w, omega)
-    if swap:
-        return "0"
-    shifted = omega.shift(1)
-    s0, s1 = normalize_word(s0), normalize_word(s1)
-    if not _trivial_normalized(s0, shifted):
-        return "0" + find_moved_vertex(s0, shifted)
-    return "1" + find_moved_vertex(s1, shifted)
+    path = ""
+    while len(w) > 1:
+        swap, s0, s1 = _sections(w, omega.at(1))
+        if swap:
+            return path + "0"
+        omega = omega.shift(1)
+        w = _normalize(s0)
+        if _trivial_normalized(w, omega):
+            path, w = path + "1", _normalize(s1)
+        else:
+            path += "0"
+    if w == "a":
+        return path + "0"
+    m = 1
+    while omega.at(m) == GEN_SYMBOL[w]:
+        m += 1
+    return path + "1" * (m - 1) + "00"
 
 
 def _element_keys(omega: OmegaSequence):
@@ -209,7 +265,7 @@ def _element_keys(omega: OmegaSequence):
     moves = {}
     for w in ("", *GENERATORS):
         for j in range(count):
-            swap, s0, s1 = root_and_sections(w, shifted[j])
+            swap, s0, s1 = _sections(w, shifted[j].at(1))
             moves[w, j] = swap, (s0, nxt[j]), (s1, nxt[j])
     cls = {s: int(swap) for s, (swap, _, _) in moves.items()}
     while True:
@@ -227,8 +283,10 @@ def _element_keys(omega: OmegaSequence):
     def key(word: str, j: int) -> int:
         k = memo.get((word, j))
         if k is None:
-            swap, s0, s1 = root_and_sections(word, shifted[j])
+            swap, s0, s1 = _sections(word, shifted[j].at(1))
             i = nxt[j]
+            # The public normalize_word: bench/tracer.py counts its calls
+            # under ball_sizes, these included, as group.ball_candidates.
             triple = swap, key(normalize_word(s0), i), key(normalize_word(s1), i)
             k = memo[word, j] = table.setdefault(triple, len(table))
         return k

@@ -23,7 +23,7 @@ from grigorchuk import (
     ray_at,
     root_and_sections,
 )
-from grigorchuk.group import _element_keys, _square_normalized
+from grigorchuk.group import _KLEIN, _element_keys, _square_normalized, find_moved_vertex
 from grigorchuk.omega import OmegaSequence
 
 words = st.text(alphabet="abcd", max_size=10)
@@ -139,6 +139,73 @@ def naive_ball_sizes(omega: OmegaSequence, radius: int) -> list[int]:
     return sizes
 
 
+def normalize_by_stack(word: str) -> str:
+    """Oracle for normalize_word: one stack push or reduction per letter.
+    The stack alternates, so the letter below a b/c/d top is a or nothing
+    and a fusion never cascades."""
+    stack: list[str] = []
+    for ch in word:
+        top = stack[-1] if stack else ""
+        if top == ch:
+            stack.pop()
+        elif top + ch in _KLEIN:
+            stack[-1] = _KLEIN[top + ch]
+        else:
+            stack.append(ch)
+    return "".join(stack)
+
+
+def sections_by_scan(word: str, omega: OmegaSequence) -> tuple[bool, str, str]:
+    """Oracle for root_and_sections: one scan, swapping the two sections at
+    every a-letter."""
+    swap = False
+    s0: list[str] = []
+    s1: list[str] = []
+    first = omega.at(1)
+    for ch in word:
+        if ch == "a":
+            swap = not swap
+            s0, s1 = s1, s0
+        else:
+            if _GEN_SYMBOL[ch] != first:
+                s0.append("a")
+            s1.append(ch)
+    return swap, "".join(s0), "".join(s1)
+
+
+def normal_word(rng: random.Random, length: int) -> str:
+    """A word in alternating normal form that ends with b, c or d."""
+    out = ["a"] * length
+    out[length - 1 :: -2] = rng.choices("bcd", k=(length + 1) // 2)
+    return "".join(out)
+
+
+def conjugate(u: str, x: str) -> str:
+    """u x u^-1; every generator is an involution, so u^-1 is u reversed."""
+    return u + x + u[::-1]
+
+
+def seeded_conjugates(seed: int) -> list[str]:
+    """u x^k u^R, which cancels all the way down to x^k, and u a u^R, for
+    lengths 64 to 4096."""
+    rng = random.Random(seed)
+    out = []
+    for length in (64, 256, 1024, 4096):
+        x = rng.choice(("ad", "ac", "ab", "adab", "acab"))
+        r = x * rng.choice((2, 4, 8, 16))
+        out.append(conjugate(normal_word(rng, (length - len(r)) // 2), r))
+        out.append(conjugate(normal_word(rng, (length - 1) // 2), "a"))
+    return out
+
+
+# Words made of a-runs and b/c/d-runs of up to five letters each.
+run_words = st.lists(
+    st.one_of(st.text(alphabet="a", min_size=1, max_size=5), st.text(alphabet="bcd", min_size=1, max_size=5)),
+    max_size=12,
+).map("".join)
+EDGE_WORDS = ("", "a", "aa", "bcd", "abba")
+
+
 @lru_cache(maxsize=None)
 def short_relators(spec: str) -> tuple[str, ...]:
     """The nonempty normalized words of at most 8 letters that are trivial
@@ -202,6 +269,25 @@ class TestActions:
     @given(words, vertices, omegas)
     def test_word_action_matches_oracle(self, word, v, w):
         assert apply_word(word, v, w) == oracle_apply_word(word, v, w)
+
+    def test_long_word_action_matches_oracle(self, suite):
+        # the wreath recursion against the per-letter fold, on words of up to
+        # 4096 letters and vertices of up to 1024 digits; the all-1 vertices
+        # stay short because the oracle recurses once per leading 1
+        rng = random.Random(41)
+        for w in suite:
+            vertices = [
+                "1" * 300,
+                "1" * 299 + "0",
+                "".join(rng.choices("01", k=1023)) + "0",
+                "0" + "".join(rng.choices("01", k=1023)),
+                "".join(rng.choices("01", k=rng.randint(1, 64))),
+            ]
+            words = [normal_word(rng, n) for n in (1, 2, 5, 64, 512)] + seeded_conjugates(4)
+            words.append("".join(rng.choices("abcd", k=700)))
+            for word in words:
+                v = rng.choice(vertices)
+                assert apply_word(word, v, w) == oracle_apply_word(word, v, w)
 
     def test_empty_word_is_identity(self, omega012):
         assert apply_word("", "0110", omega012) == "0110"
@@ -286,6 +372,21 @@ class TestNormalize:
     def test_idempotent(self, word):
         assert normalize_word(normalize_word(word)) == normalize_word(word)
 
+    @given(run_words)
+    def test_matches_stack_on_runs(self, word):
+        assert normalize_word(word) == normalize_by_stack(word)
+
+    def test_matches_stack_on_conjugates(self):
+        for word in seeded_conjugates(1):
+            assert normalize_word(word) == normalize_by_stack(word)
+
+    def test_matches_stack_on_random_words(self):
+        rng = random.Random(2)
+        for word in EDGE_WORDS + tuple(
+            "".join(rng.choices("abcd", k=rng.randint(0, 40))) for _ in range(2000)
+        ):
+            assert normalize_word(word) == normalize_by_stack(word)
+
 
 class TestSections:
     def test_examples(self, omega012):
@@ -310,6 +411,21 @@ class TestSections:
             section = s0 if x == "0" else s1
             expected = (_flip(x) if swap else x) + apply_word(section, rest, w.shift(1))
             assert apply_word(u, v, w) == expected
+
+    @given(run_words, omegas)
+    def test_matches_scan_on_runs(self, word, w):
+        assert root_and_sections(word, w) == sections_by_scan(word, w)
+
+    def test_matches_scan_on_conjugates(self, suite):
+        for w in suite:
+            for word in seeded_conjugates(3):
+                for u in (word, normalize_word(word)):
+                    assert root_and_sections(u, w) == sections_by_scan(u, w)
+
+    def test_matches_scan_on_edge_words(self, suite):
+        for w in (*suite, parse_omega("0:1")):
+            for word in EDGE_WORDS:
+                assert root_and_sections(word, w) == sections_by_scan(word, w)
 
 
 class TestWordProblem:
@@ -346,6 +462,46 @@ class TestWordProblem:
             for _ in range(25):
                 word = "".join(rng.choice("abcd") for _ in range(rng.randint(0, 12)))
                 assert is_trivial(word, w) == oracle_fixes_all(word, w, 10)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda w: normalize_word("abxa"),
+            lambda w: root_and_sections("abxa", w),
+            lambda w: apply_word("abxa", "0", w),
+            lambda w: is_trivial("abxa", w),
+        ],
+    )
+    def test_bad_letters_message(self, call, omega012):
+        # cli word prints this message as it is, with exit 2
+        with pytest.raises(ValueError) as err:
+            call(omega012)
+        assert str(err.value) == "word letters must be in a/b/c/d, got ['x']"
+        with pytest.raises(ValueError, match=r"got \['X', 'e', 'z'\]$"):
+            normalize_word("zaXbez")
+
+    def test_moved_vertices_pinned(self):
+        # u r u^R with an even number of a-letters in r walks down the
+        # sections; these vertices are the section recursion's answers
+        pinned = {
+            "012": ("0100", "00", "000", "00", "000"),
+            "01": ("00", "0000", "000", "0000", "00"),
+            "02": ("00", "00", "00", "00100", "0000"),
+            "2:01": ("00", "000", "00", "100", "000"),
+            "10:012": ("00", "00100", "0000", "00", "00"),
+        }
+        rng = random.Random(14)
+        for spec, expected in pinned.items():
+            w = parse_omega(spec)
+            for n, vertex in zip((0, 7, 32, 255, 1024), expected):
+                while True:
+                    r = normal_word(rng, rng.randint(2, 8))
+                    r = r if r.count("a") % 2 == 0 else r + "a"
+                    word = conjugate(normal_word(rng, n), r)
+                    if not is_trivial(word, w):
+                        break
+                assert find_moved_vertex(word, w) == vertex
+                assert apply_word(word, vertex, w) != vertex
 
     def test_words_equal(self, omega012):
         assert words_equal("bc", "d", omega012)
