@@ -2,6 +2,8 @@
 
 Exit codes: 0 success, 1 check failure, 2 usage, parse or output-path error,
 3 unsupported case (eventually constant omega where the subshift is needed).
+Each command returns its exit code and its output as a stream of text, and
+`main` alone writes that stream, to stdout or to the `-o` file.
 """
 
 from __future__ import annotations
@@ -10,10 +12,11 @@ import argparse
 import json
 import sys
 from collections.abc import Iterable, Iterator
+from itertools import chain
 from pathlib import Path
 
 from . import battery, fullgroup as fg, group, schreier, subshift
-from .omega import EventuallyConstantOmegaError, OmegaParseError, parse_omega
+from .omega import EventuallyConstantOmegaError, parse_omega
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -21,14 +24,17 @@ EXIT_USAGE = 2
 EXIT_UNSUPPORTED = 3
 
 
-def _emit(text: str | Iterable[str], output: str | Path | None) -> None:
-    """Write one string, or a stream of lines, to the output file or stdout."""
-    chunks = (text,) if isinstance(text, str) else text
+def _emit(chunks: Iterable[str], output: str | Path | None) -> None:
+    """Write a stream of text to the output file or stdout."""
     if output:
         with open(output, "w") as fh:
             fh.writelines(chunks)
     else:
         sys.stdout.writelines(chunks)
+
+
+def _lines(lines: Iterable[str]) -> Iterator[str]:
+    return (f"{line}\n" for line in lines)
 
 
 def _graph_json(g: schreier.LabeledGraph) -> Iterator[str]:
@@ -49,37 +55,31 @@ def _graph_text(g: schreier.LabeledGraph) -> Iterator[str]:
         yield f"{u} -- {v}  {lab}\n"
 
 
-def cmd_graph(args) -> int:
+def cmd_graph(args) -> tuple[int, Iterable[str]]:
     omega = parse_omega(args.omega)
     if args.oracle:
         orbit = schreier.build_gamma_orbit(omega, 1 << (args.level + 1), with_xi=False)
         recursive = schreier.build_gamma_recursive(omega, args.level)
         if recursive == orbit:
-            print(f"MATCH level={args.level} vertices={recursive.n}")
-            return EXIT_OK
-        print(f"MISMATCH level={args.level}")
-        return EXIT_CHECK_FAILED
+            return EXIT_OK, [f"MATCH level={args.level} vertices={recursive.n}\n"]
+        return EXIT_CHECK_FAILED, [f"MISMATCH level={args.level}\n"]
     if args.vertices is not None:
         g = schreier.build_gamma_orbit(omega, args.vertices, with_xi=args.with_xi)
     else:
         g = schreier.build_gamma_recursive(omega, args.level)
     render = {"dot": schreier.export_dot, "json": _graph_json, "text": _graph_text}
-    _emit(render[args.format](g), args.output)
-    return EXIT_OK
+    return EXIT_OK, render[args.format](g)
 
 
-def cmd_language(args) -> int:
+def cmd_language(args) -> tuple[int, Iterable[str]]:
     omega = parse_omega(args.omega)
-    words = sorted(subshift.language(omega, args.n))
+    words = [subshift.render_word(w) for w in sorted(subshift.language(omega, args.n))]
     header = f"omega={omega.spec()} n={args.n} count={len(words)}"
     if args.format == "json":
-        _emit(json.dumps({"header": header, "words": [subshift.render_word(w) for w in words]},
-                         sort_keys=True, indent=2) + "\n", args.output)
+        lines = [json.dumps({"header": header, "words": words}, sort_keys=True, indent=2)]
     else:
-        sep = "\t" if args.format == "tsv" else "\n"
-        body = sep.join(subshift.render_word(w) for w in words)
-        _emit(header + "\n" + body + "\n", args.output)
-    return EXIT_OK
+        lines = [header, ("\t" if args.format == "tsv" else "\n").join(words)]
+    return EXIT_OK, _lines(lines)
 
 
 def _table_omega(args):
@@ -93,7 +93,7 @@ def _table_omega(args):
     return omega
 
 
-def cmd_complexity(args) -> int:
+def cmd_complexity(args) -> tuple[int, Iterable[str]]:
     omega = _table_omega(args)
     rows = []
     all_ok = True
@@ -107,15 +107,14 @@ def cmd_complexity(args) -> int:
             {"n": n, "rho": rho, "lower": lo, "upper": hi, "verdict": v}
             for n, rho, lo, hi, v in rows
         ]
-        _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.output)
+        lines = [json.dumps(payload, sort_keys=True, indent=2)]
     else:
         lines = [f"omega={omega.spec()} max_n={args.max_n}", "n\trho\tn+1\t6n\tverdict"]
         lines.extend("\t".join(str(x) for x in row) for row in rows)
-        _emit("\n".join(lines) + "\n", args.output)
-    return EXIT_OK if all_ok else EXIT_CHECK_FAILED
+    return EXIT_OK if all_ok else EXIT_CHECK_FAILED, _lines(lines)
 
 
-def cmd_orbit(args) -> int:
+def cmd_orbit(args) -> tuple[int, Iterable[str]]:
     omega = parse_omega(args.omega)
     if args.count < 1:
         raise ValueError("count must be >= 1")
@@ -127,11 +126,10 @@ def cmd_orbit(args) -> int:
             fixing = group.fixing_generator(prefix, omega) if prefix else "-"
             yield f"{i}\t{prefix or 'rho'}\t{fixing}\n"
 
-    _emit(rows(), args.output)
-    return EXIT_OK
+    return EXIT_OK, rows()
 
 
-def cmd_word(args) -> int:
+def cmd_word(args) -> tuple[int, Iterable[str]]:
     omega = parse_omega(args.omega)
     word = args.word
     normalized = group.normalize_word(word)
@@ -139,30 +137,30 @@ def cmd_word(args) -> int:
         raise ValueError(f"max_order must be >= 1, got {args.max_order}")
     trivial = group.is_trivial(word, omega)
     element = fg.embed_word(word, omega) if args.embed_check else None
-    print(f"word={word or '(empty)'} omega={omega.spec()}")
-    print(f"normalized: {normalized or '(empty)'}")
-    print(f"trivial: {trivial}")
+    lines = [
+        f"word={word or '(empty)'} omega={omega.spec()}",
+        f"normalized: {normalized or '(empty)'}",
+        f"trivial: {trivial}",
+    ]
     if args.order:
         order = group.element_order(word, omega, args.max_order)
-        print(f"order: {order if order is not None else f'> {args.max_order}'}")
+        lines.append(f"order: {order if order is not None else f'> {args.max_order}'}")
+    consistent = True
     if element is not None:
         consistent = fg.is_identity(element) == trivial
-        print(f"embedding consistent: {consistent}")
-        if not consistent:
-            return EXIT_CHECK_FAILED
-    return EXIT_OK
+        lines.append(f"embedding consistent: {consistent}")
+    return EXIT_OK if consistent else EXIT_CHECK_FAILED, _lines(lines)
 
 
-def cmd_ball(args) -> int:
+def cmd_ball(args) -> tuple[int, Iterable[str]]:
     omega = parse_omega(args.omega)
     sizes = group.ball_sizes(omega, args.max_n)
     lines = [f"omega={omega.spec()}", "radius\tball"]
     lines.extend(f"{i}\t{s}" for i, s in enumerate(sizes))
-    _emit("\n".join(lines) + "\n", args.output)
-    return EXIT_OK
+    return EXIT_OK, _lines(lines)
 
 
-def cmd_embed(args) -> int:
+def cmd_embed(args) -> tuple[int, Iterable[str]]:
     omega = parse_omega(args.omega)
     word = args.word
     element = fg.embed_word(word, omega)
@@ -176,13 +174,10 @@ def cmd_embed(args) -> int:
         witness = fg.injectivity_witness(word, omega)
         out.append(f"witness window (radius {witness.radius}): {witness.letters}")
         out.append(f"witness cocycle: {element.cocycle(witness):+d}")
-    _emit("\n".join(out) + "\n", None)
-    if args.dump:
-        _emit(fg.dump_element(element), args.output)
-    return EXIT_OK
+    return EXIT_OK, chain(_lines(out), fg.dump_element(element) if args.dump else ())
 
 
-def cmd_double(args) -> int:
+def cmd_double(args) -> tuple[int, Iterable[str]]:
     omega = _table_omega(args)
     lines = [f"omega={omega.spec()} max_n={args.max_n}", "n\trho_Y\tbound\tverdict"]
     all_ok = True
@@ -202,13 +197,13 @@ def cmd_double(args) -> int:
         words = sorted(subshift.double_language(omega, args.words))
         lines.append(f"words n={args.words} count={len(words)}")
         lines.extend(subshift.render_word(w) for w in words)
-    _emit("\n".join(lines) + "\n", args.output)
-    return EXIT_OK if all_ok else EXIT_CHECK_FAILED
+    return EXIT_OK if all_ok else EXIT_CHECK_FAILED, _lines(lines)
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[int, Iterable[str]]:
     specs = tuple(args.omega) if args.omega else battery.DEFAULT_SUITE
     results = battery.run_battery(specs, seed=args.seed, quick=args.quick)
+    passed = all(r.passed for r in results)
     if args.format == "json":
         payload = {
             "omegas": list(specs),
@@ -218,20 +213,19 @@ def cmd_verify(args) -> int:
                 {"name": r.name, "passed": r.passed, "detail": r.detail}
                 for r in results
             ],
-            "passed": all(r.passed for r in results),
+            "passed": passed,
         }
-        _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.output)
+        lines = [json.dumps(payload, sort_keys=True, indent=2)]
     else:
         lines = [f"verify omegas={','.join(specs)} seed={args.seed} quick={args.quick}"]
         lines.extend(
             f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}" for r in results
         )
-        lines.append("RESULT: " + ("PASS" if all(r.passed for r in results) else "FAIL"))
-        _emit("\n".join(lines) + "\n", args.output)
-    return EXIT_OK if all(r.passed for r in results) else EXIT_CHECK_FAILED
+        lines.append("RESULT: " + ("PASS" if passed else "FAIL"))
+    return EXIT_OK if passed else EXIT_CHECK_FAILED, _lines(lines)
 
 
-def cmd_export(args) -> int:
+def cmd_export(args) -> tuple[int, Iterable[str]]:
     omega = parse_omega(args.omega)
     lo, _, hi = args.levels.partition(":")
     start, stop = int(lo), int(hi or lo)
@@ -240,11 +234,14 @@ def cmd_export(args) -> int:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     tag = omega.spec().replace(":", "_")
-    for n in range(start, stop + 1):
-        g = schreier.build_gamma_recursive(omega, n)
-        _emit(schreier.export_dot(g), outdir / f"gamma_{tag}_n{n}.dot")
-        print(f"wrote gamma_{tag}_n{n}.dot ({g.n} vertices)")
-    return EXIT_OK
+
+    def written() -> Iterator[str]:
+        for n in range(start, stop + 1):
+            g = schreier.build_gamma_recursive(omega, n)
+            _emit(schreier.export_dot(g), outdir / f"gamma_{tag}_n{n}.dot")
+            yield f"wrote gamma_{tag}_n{n}.dot ({g.n} vertices)\n"
+
+    return EXIT_OK, written()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -315,15 +312,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
-    except OmegaParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        code, chunks = args.fn(args)
+        _emit(chunks, args.output)
+        return code
     except EventuallyConstantOmegaError as exc:
-        print(f"unsupported: {exc}", file=sys.stderr)
+        sys.stderr.write(f"unsupported: {exc}\n")
         return EXIT_UNSUPPORTED
-    except (ValueError, OSError) as exc:  # OSError: an unwritable -o or --outdir
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError) as exc:  # OmegaParseError is a ValueError; OSError: an unwritable -o or --outdir
+        sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 
 

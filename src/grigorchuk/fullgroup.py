@@ -10,6 +10,7 @@ the marked vertex, so the element acts as x -> shift^{n(x)}(x).
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from math import lcm
 
@@ -390,18 +391,12 @@ def commutator_identity_check(word: str, omega: OmegaSequence) -> bool:
     return elements_equal(compose(g1, double_element(g, 2)), rhs)
 
 
-def dump_element(e: FullGroupElement) -> str:
-    """Debug dump: formal word, radius, displacement bound, and the complete
-    cocycle table in deterministic window order."""
-    lines = [
-        f"word: {e.label}",
-        f"radius: {e.radius}",
-        f"displacement_bound: {e.dbound}",
-        "table:",
-    ]
+def dump_element(e: FullGroupElement) -> Iterator[str]:
+    """Debug dump as a stream of text: formal word, radius, displacement
+    bound, and the complete cocycle table in deterministic window order."""
+    yield f"word: {e.label}\nradius: {e.radius}\ndisplacement_bound: {e.dbound}\ntable:\n"
     seen = set()
     for w in iter_windows(e.omega, 2 * e.radius, e.tag):
         if w not in seen:
             seen.add(w)
-            lines.append(f"  {w} -> {e._eval(w, e.radius):+d}")
-    return "\n".join(lines) + "\n"
+            yield f"  {w} -> {e._eval(w, e.radius):+d}\n"

@@ -20,12 +20,19 @@ SYMBOL_GEN = {2: "b", 1: "c", 0: "d"}
 _KLEIN = {"bc": "d", "cb": "d", "bd": "c", "db": "c", "cd": "b", "dc": "b"}
 
 _DROP_GENERATORS = str.maketrans("", "", GENERATORS)
+_DROP01 = str.maketrans("", "", "01")
 
 
 def _check_word(word: str) -> None:
     bad = word.translate(_DROP_GENERATORS)
     if bad:
         raise ValueError(f"word letters must be in a/b/c/d, got {sorted(set(bad))}")
+
+
+def _check_vertex(v: str) -> None:
+    bad = v.translate(_DROP01)
+    if bad:
+        raise ValueError(f"vertex digits must be 0/1, got {sorted(set(bad))}")
 
 
 class _RunProducts(dict):
@@ -83,6 +90,7 @@ def apply_generator(letter: str, v: str, omega: OmegaSequence) -> str:
     strip the image's trailing 1s and pad again before the next step."""
     if len(letter) != 1 or letter not in GENERATORS:
         raise ValueError(f"unknown generator {letter!r}")
+    _check_vertex(v)
     if letter == "a":
         return v if not v else _flip(v[0]) + v[1:]
     j = v.find("0") + 1  # 1-based position of the first 0
@@ -100,6 +108,7 @@ def apply_word(word: str, v: str, omega: OmegaSequence) -> str:
     one generator step on the rest of v. Sections contract, so this costs
     O(|word| + |v|)."""
     _check_word(word)
+    _check_vertex(v)
     w, digits = _normalize(word), []
     while len(w) > 1 and len(digits) < len(v):
         x = v[len(digits)]
@@ -207,22 +216,9 @@ def element_order(word: str, omega: OmegaSequence, max_order: int) -> int | None
     while k <= max_order:
         if _trivial_normalized(p, omega):
             return k
-        p = _square_normalized(p)
+        p = _normalize(p + p)
         k *= 2
     return None
-
-
-def _square_normalized(p: str) -> str:
-    """normalize_word(p + p) for a normalized p: only the seam between the two
-    copies can reduce. Equal letters cancel outwards from it; a Klein pair of
-    b/c/d letters then fuses once, and the fused letter sits between a-letters
-    or ends, so nothing further reduces."""
-    n, k = len(p), 0
-    while k < n and p[n - 1 - k] == p[k]:
-        k += 1
-    if k < n and p[n - 1 - k] + p[k] in _KLEIN:
-        return p[: n - 1 - k] + _KLEIN[p[n - 1 - k] + p[k]] + p[k + 1 :]
-    return p[: n - k] + p[k:]
 
 
 def find_moved_vertex(word: str, omega: OmegaSequence) -> str:

@@ -11,7 +11,7 @@ from itertools import starmap, zip_longest
 from operator import eq
 from typing import NamedTuple
 
-from .group import SYMBOL_GEN, apply_generator
+from .group import _DROP01, SYMBOL_GEN, apply_generator
 from .omega import OmegaSequence
 
 Edge = tuple[int, int, str]
@@ -42,7 +42,6 @@ class LabeledGraph:
 
 
 _SWAP01 = str.maketrans("01", "10")
-_DROP01 = str.maketrans("", "", "01")
 
 
 def gray_rank(bits: str) -> int:

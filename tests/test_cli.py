@@ -288,6 +288,52 @@ class TestExport:
         assert taken.read_text() == "keep"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("graph", "--omega", "012", "--level", "3"),
+        ("graph", "--omega", "2:01", "--vertices", "40", "--with-xi", "--format", "json"),
+        ("graph", "--omega", "012", "--level", "4", "--format", "text"),
+        ("graph", "--omega", "012", "--level", "4", "--oracle"),
+        ("language", "--omega", "012", "--n", "3", "--format", "tsv"),
+        ("complexity", "--omega", "012", "--max-n", "16", "--format", "json"),
+        ("orbit", "--omega", "012", "--count", "20"),
+        ("word", "--omega", "012", "ad", "--order", "--embed-check"),
+        ("ball", "--omega", "012", "--max-n", "4"),
+        ("embed", "--omega", "012", "ab"),
+        ("embed", "--omega", "012", "ab", "--dump"),
+        ("double", "--omega", "012", "--max-n", "8", "--words", "4"),
+        ("verify", "--quick", "--omega", "2:01"),
+        ("export", "--omega", "2:01", "--levels", "1:2"),
+    ],
+    ids=["graph-dot", "graph-json", "graph-text", "graph-oracle", "language", "complexity",
+         "orbit", "word", "ball", "embed", "embed-dump", "double", "verify", "export"],
+)
+def test_output_file_holds_the_whole_output(capsys, tmp_path, argv):
+    # -o F receives exactly what the run without it prints, stdout stays
+    # empty, and the exit code is the same
+    def outdir(name):
+        return ("--outdir", str(tmp_path / name)) if argv[0] == "export" else ()
+
+    code, out, err = run(capsys, *argv, *outdir("plain"))
+    target = tmp_path / "F"
+    code_o, out_o, err_o = run(capsys, *argv, *outdir("to_file"), "-o", str(target))
+    assert out and code_o == code and out_o == "" and err_o == err
+    assert target.read_bytes() == out.encode()
+    if argv[0] == "export":
+        assert sorted(p.name for p in (tmp_path / "to_file").iterdir()) == [
+            "gamma_2_01_n1.dot", "gamma_2_01_n2.dot"
+        ]
+
+
+def test_output_file_keeps_a_failing_exit_code(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(battery, "check_relations", lambda omegas, caps, seed: (False, "stub"))
+    target = tmp_path / "F"
+    code, out, _ = run(capsys, "verify", "--quick", "-o", str(target))
+    assert code == 1 and out == ""
+    assert "FAIL relations_map_to_identity: stub" in target.read_text().splitlines()
+
+
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["graph"])  # --omega missing

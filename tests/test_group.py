@@ -8,7 +8,7 @@ from functools import lru_cache
 from itertools import product
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import given, strategies as st
 
 from grigorchuk import (
     apply_generator,
@@ -23,7 +23,7 @@ from grigorchuk import (
     ray_at,
     root_and_sections,
 )
-from grigorchuk.group import _KLEIN, _element_keys, _square_normalized, find_moved_vertex
+from grigorchuk.group import _KLEIN, _element_keys, find_moved_vertex
 from grigorchuk.omega import OmegaSequence
 
 words = st.text(alphabet="abcd", max_size=10)
@@ -40,20 +40,20 @@ def _flip(x: str) -> str:
 
 
 def oracle_apply(letter: str, v: str, omega: OmegaSequence) -> str:
-    """Verbatim recursive-descent action: a(xv) = eps(x)v, s(1v) = 1 s'(v),
-    s(0xv) = 0 eps_{k,omega(1)}(x) v."""
+    """The literal descent a(xv) = eps(x)v, s(1v) = 1 s'(v),
+    s(0xv) = 0 eps_{k,omega(1)}(x) v as a loop: each of the k leading 1s
+    shifts omega by one, so the digit after the first 0 flips unless
+    omega(k + 1) is the letter's symbol."""
     if letter == "a":
         return v if not v else _flip(v[0]) + v[1:]
-    if not v:
+    rest = v.lstrip("1")
+    k = len(v) - len(rest)
+    if len(rest) < 2:
         return v
-    if v[0] == "1":
-        return "1" + oracle_apply(letter, v[1:], omega.shift(1))
-    if len(v) == 1:
-        return v
-    x = v[1]
-    if omega.at(1) != _GEN_SYMBOL[letter]:
+    x = rest[1]
+    if omega.at(k + 1) != _GEN_SYMBOL[letter]:
         x = _flip(x)
-    return v[0] + x + v[2:]
+    return v[: k + 1] + x + rest[2:]
 
 
 def oracle_apply_word(word: str, v: str, omega: OmegaSequence) -> str:
@@ -272,13 +272,13 @@ class TestActions:
 
     def test_long_word_action_matches_oracle(self, suite):
         # the wreath recursion against the per-letter fold, on words of up to
-        # 4096 letters and vertices of up to 1024 digits; the all-1 vertices
-        # stay short because the oracle recurses once per leading 1
+        # 4096 letters and vertices of up to 1200 digits; every word also acts
+        # on the two vertices that open with a run of 1199 or 1200 1s
         rng = random.Random(41)
+        ones = ["1" * 1200, "1" * 1199 + "0"]
         for w in suite:
             vertices = [
-                "1" * 300,
-                "1" * 299 + "0",
+                *ones,
                 "".join(rng.choices("01", k=1023)) + "0",
                 "0" + "".join(rng.choices("01", k=1023)),
                 "".join(rng.choices("01", k=rng.randint(1, 64))),
@@ -286,12 +286,22 @@ class TestActions:
             words = [normal_word(rng, n) for n in (1, 2, 5, 64, 512)] + seeded_conjugates(4)
             words.append("".join(rng.choices("abcd", k=700)))
             for word in words:
-                v = rng.choice(vertices)
-                assert apply_word(word, v, w) == oracle_apply_word(word, v, w)
+                for v in (rng.choice(vertices), *ones):
+                    assert apply_word(word, v, w) == oracle_apply_word(word, v, w)
 
     def test_empty_word_is_identity(self, omega012):
         assert apply_word("", "0110", omega012) == "0110"
         assert apply_word("", "", omega012) == ""
+
+    @pytest.mark.parametrize("v", ["2", "0 1", "01x", "1" * 50 + "2"])
+    def test_rejects_non_binary_vertex(self, v, omega012):
+        # the digit check comes first: neither "a" nor "aa" reads past v[0]
+        for word in ("a", "b", "aa", "abac"):
+            with pytest.raises(ValueError, match="0/1"):
+                apply_word(word, v, omega012)
+        for g in "abcd":
+            with pytest.raises(ValueError, match="0/1"):
+                apply_generator(g, v, omega012)
 
     @pytest.mark.parametrize("letter", ["", "ab", "bc", "cd", "e"])
     def test_rejects_non_generator(self, letter, omega012):
@@ -541,15 +551,6 @@ class TestOrders:
         for w in suite + tuple(parse_omega(s) for s in ("0:1", "0")):
             for word in short:
                 assert element_order(word, w, 32) == order_by_scan(word, w, 32)
-
-    @given(st.text(alphabet="abcd", max_size=40))
-    @example("")
-    @example("a")
-    @example("aba")  # cancels completely
-    @example("bacadab")  # cancels "b", "a" outwards, then fuses d with c
-    def test_seam_square_matches_normalize(self, word):
-        p = normalize_word(word)
-        assert _square_normalized(p) == normalize_word(p + p)
 
     def test_non_torsion_evidence(self):
         assert element_order("ab", parse_omega("0"), 64) is None
