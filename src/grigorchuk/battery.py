@@ -101,9 +101,12 @@ def _timed_gray4_listing() -> float:
 def check_graph_oracle(omegas, caps: Caps, seed: int) -> tuple[bool, str]:
     bad: list[str] = []
     for omega in omegas:
+        # A row does not depend on the vertex count: the top level's hold all.
+        rows = list(schreier._orbit_rows(omega, 1 << (caps.graph_level + 1)))
         for n in range(1, caps.graph_level + 1):
             rec = schreier.build_gamma_recursive(omega, n)
-            orb = schreier.build_gamma_orbit(omega, 1 << (n + 1), with_xi=False)
+            count = 1 << (n + 1)
+            orb = schreier.LabeledGraph.make(count, schreier._orbit_edges(rows, count, False))
             if rec != orb:
                 bad.append(f"{omega.spec()}@n={n}")
     return not bad, (
@@ -117,21 +120,9 @@ def check_bfs_order(omegas, caps: Caps, seed: int) -> tuple[bool, str]:
     bad: list[str] = []
     for omega in omegas:
         g = schreier.build_gamma_orbit(omega, count, with_xi=False)
-        adjacency: dict[int, set[int]] = {i: set() for i in range(count)}
-        for u, v, _ in g.edges:
-            adjacency[u].add(v)
-            adjacency[v].add(u)
-        dist = {0: 0}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in adjacency[u]:
-                    if v not in dist:
-                        dist[v] = dist[u] + 1
-                        nxt.append(v)
-            frontier = nxt
-        if any(dist.get(i) != i for i in range(count)):
+        # Vertex i is at distance i from 0 for every i exactly when the graph is
+        # the path 0 - 1 - ..., as an edge (i, j > i + 1) puts j at distance <= i + 1.
+        if {(u, v) for u, v, _ in g.edges if u != v} != {(i, i + 1) for i in range(count - 1)}:
             bad.append(omega.spec())
     return not bad, (
         f"first {count} vertices in distance order"

@@ -395,8 +395,8 @@ def dump_element(e: FullGroupElement) -> Iterator[str]:
     """Debug dump as a stream of text: formal word, radius, displacement
     bound, and the complete cocycle table in deterministic window order."""
     yield f"word: {e.label}\nradius: {e.radius}\ndisplacement_bound: {e.dbound}\ntable:\n"
-    seen = set()
-    for w in iter_windows(e.omega, 2 * e.radius, e.tag):
-        if w not in seen:
-            seen.add(w)
-            yield f"  {w} -> {e._eval(w, e.radius):+d}\n"
+    windows = iter_windows(e.omega, 2 * e.radius, e.tag)
+    if e.tag == "A" and 2 * e.radius > 2048:
+        windows = dict.fromkeys(windows)  # only here does iter_windows repeat windows
+    for w in windows:
+        yield f"  {w} -> {e._eval(w, e.radius):+d}\n"

@@ -69,11 +69,11 @@ _SECTION_TABLES = {k: _section_tables(k) for k in SYMBOL_GEN}
 
 def fixing_generator(prefix: str, omega: OmegaSequence) -> str:
     """The unique letter among b, c, d that fixes the ray with this prefix
-    (undefined for rho): the one whose symbol omega reads at its first 0."""
-    pos = prefix.find("0")
-    if pos < 0:
+    (undefined for rho): the ray acts as the vertex prefix + "1"."""
+    fixers, _ = _partner(prefix + "1", omega)
+    if len(fixers) > 1:
         raise ValueError("rho is fixed by all of b, c, d")
-    return SYMBOL_GEN[omega.at(pos + 1)]
+    return fixers
 
 
 def _flip(bit: str) -> str:
@@ -93,12 +93,18 @@ def apply_generator(letter: str, v: str, omega: OmegaSequence) -> str:
     _check_vertex(v)
     if letter == "a":
         return v if not v else _flip(v[0]) + v[1:]
+    fixers, image = _partner(v, omega)
+    return v if letter in fixers else image
+
+
+def _partner(v: str, omega: OmegaSequence) -> tuple[str, str]:
+    """The b/c/d letters fixing the vertex v and the image under the others: all
+    flip the digit after the first 0 but the one whose symbol omega reads there
+    (all three fix v when there is no such digit)."""
     j = v.find("0") + 1  # 1-based position of the first 0
     if j == 0 or j == len(v):
-        return v
-    if omega.at(j) == GEN_SYMBOL[letter]:
-        return v
-    return v[:j] + _flip(v[j]) + v[j + 1:]
+        return "bcd", v
+    return SYMBOL_GEN[omega.at(j)], v[:j] + _flip(v[j]) + v[j + 1:]
 
 
 def apply_word(word: str, v: str, omega: OmegaSequence) -> str:
@@ -216,9 +222,20 @@ def element_order(word: str, omega: OmegaSequence, max_order: int) -> int | None
     while k <= max_order:
         if _trivial_normalized(p, omega):
             return k
-        p = _normalize(p + p)
+        p = _square_normalized(p)
         k *= 2
     return None
+
+
+def _square_normalized(p: str) -> str:
+    """_normalize(p + p) for a normalized p: equal letters cancel outwards from
+    the seam, then a Klein pair fuses once, between a-letters or at an end."""
+    n, k = len(p), 0
+    while k < n and p[n - 1 - k] == p[k]:
+        k += 1
+    if k < n and p[n - 1 - k] + p[k] in _KLEIN:
+        return p[: n - 1 - k] + _KLEIN[p[n - 1 - k] + p[k]] + p[k + 1:]
+    return p[: n - k] + p[k:]
 
 
 def find_moved_vertex(word: str, omega: OmegaSequence) -> str:

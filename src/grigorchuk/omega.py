@@ -42,14 +42,12 @@ class OmegaSequence:
         return int(self.period[(i - len(pre) - 1) % len(self.period)])
 
     def shift(self, n: int = 1) -> "OmegaSequence":
-        """The sequence i -> self(i + n), with the preperiod consumed first."""
+        """The sequence i -> self(i + n), with the preperiod consumed first; n
+        past the preperiod counts modulo the period, one cached object per class."""
         if n < 0:
             raise ValueError("shift amount must be nonnegative")
-        pre = self.preperiod
-        if n <= len(pre):
-            return OmegaSequence(pre[n:], self.period)
-        k = (n - len(pre)) % len(self.period)
-        return OmegaSequence("", self.period[k:] + self.period[:k])
+        pre = len(self.preperiod)
+        return _shifted(self, n if n <= pre else pre + (n - pre) % len(self.period))
 
     def is_eventually_constant(self) -> bool:
         return len(set(self.period)) == 1
@@ -70,6 +68,12 @@ class OmegaSequence:
 
     def __str__(self) -> str:
         return self.spec()
+
+
+@lru_cache(maxsize=4096)
+def _shifted(omega: OmegaSequence, k: int) -> OmegaSequence:
+    r = max(k - len(omega.preperiod), 0)  # the rotation of the period
+    return OmegaSequence(omega.preperiod[k:], omega.period[r:] + omega.period[:r])
 
 
 @lru_cache(maxsize=None)

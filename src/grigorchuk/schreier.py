@@ -7,11 +7,11 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import starmap, zip_longest
+from itertools import islice, starmap, zip_longest
 from operator import eq
 from typing import NamedTuple
 
-from .group import _DROP01, SYMBOL_GEN, apply_generator
+from .group import _DROP01, SYMBOL_GEN, _flip, _partner
 from .omega import OmegaSequence
 
 Edge = tuple[int, int, str]
@@ -54,6 +54,10 @@ def gray_rank(bits: str) -> int:
     ray prefix is the ray's index in the orbit ("" for rho has index 0)."""
     if bits.translate(_DROP01):  # int() would also accept "_" and whitespace
         raise ValueError(f"need a binary string, got {bits!r}")
+    return _gray_rank(bits)
+
+
+def _gray_rank(bits: str) -> int:
     rank = int(bits[::-1].translate(_SWAP01) or "0", 2)
     shift, width = 1, rank.bit_length()
     while shift < width:
@@ -146,32 +150,39 @@ def build_gamma_recursive(omega: OmegaSequence, n: int) -> LabeledGraph:
     return _word_graph(_block_word(omega, n + 1))
 
 
-def build_gamma_orbit(omega: OmegaSequence, vertex_count: int, with_xi: bool) -> LabeledGraph:
-    """Direct orbit computation: vertices are the first rays in Gray order,
-    one edge (gamma, s gamma) per generator, with edges leaving the vertex
-    range dropped. The three loops at rho are kept only when with_xi."""
-    if vertex_count < 2:
-        raise ValueError("vertex_count must be >= 2")
-    edges: list[Edge] = []
+def _orbit_rows(omega: OmegaSequence, vertex_count: int) -> Iterator[tuple[int, int | None, str]]:
+    """One row per orbit point in Gray order: the rank of its a-image, the rank
+    of its partner (its image under the b/c/d letters that move it; None at
+    rho) and the letters that fix it. A row does not depend on the count."""
     for i in range(vertex_count):
         # The ray as a vertex: exact for a single generator step.
         v = ray_at(i).prefix + "1"
-        images = [(g, apply_generator(g, v, omega)) for g in "abcd"]
-        # A loop belongs to the double-edge block joining the vertex to its
-        # partner, the image under the b/c/d generators that move it; when the
-        # partner is out of range the whole block is cut, loop included.
-        partner = next((image for _, image in images[1:] if image != v), None)
-        j_partner = None if partner is None else gray_rank(partner)
-        keep_loops = with_xi if partner is None else j_partner < vertex_count
-        for g, image in images:
-            if image == v:
-                if keep_loops:
-                    edges.append((i, i, g))
-            else:
-                j = gray_rank(image) if g == "a" else j_partner
-                if i < j < vertex_count:
-                    edges.append((i, j, g))
-    return LabeledGraph.make(vertex_count, edges)
+        fixers, partner = _partner(v, omega)
+        j_partner = None if partner == v else _gray_rank(partner)
+        yield _gray_rank(_flip(v[0]) + v[1:]), j_partner, fixers
+
+
+def _orbit_edges(rows: Iterable[tuple], vertex_count: int, with_xi: bool) -> Iterator[Edge]:
+    """The edges among the first vertex_count rows, one (gamma, s gamma) per
+    generator and none leaving the range. A loop belongs to the double-edge
+    block joining a point to its partner, and is cut with it when the partner
+    is out of range. The three loops at rho are kept only when with_xi."""
+    for i, (j_a, j_partner, fixers) in enumerate(islice(rows, vertex_count)):
+        if (with_xi if j_partner is None else j_partner < vertex_count):
+            yield from ((i, i, g) for g in fixers)
+        if i < j_a < vertex_count:
+            yield i, j_a, "a"
+        if j_partner is not None and i < j_partner < vertex_count:
+            yield from ((i, j_partner, g) for g in "bcd" if g not in fixers)
+
+
+def build_gamma_orbit(omega: OmegaSequence, vertex_count: int, with_xi: bool) -> LabeledGraph:
+    """Direct orbit computation: vertices are the first rays in Gray order, and
+    their edges (see `_orbit_edges`) stream into the sort, which alone holds them."""
+    if vertex_count < 2:
+        raise ValueError("vertex_count must be >= 2")
+    rows = _orbit_rows(omega, vertex_count)
+    return LabeledGraph.make(vertex_count, _orbit_edges(rows, vertex_count, with_xi))
 
 
 def export_dot(g: LabeledGraph) -> Iterator[str]:

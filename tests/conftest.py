@@ -1,7 +1,9 @@
+from itertools import product
+
 import pytest
 from hypothesis import HealthCheck, settings
 
-from grigorchuk import parse_omega
+from grigorchuk import OmegaSequence, parse_omega
 
 settings.register_profile(
     "det",
@@ -23,3 +25,16 @@ def suite():
 @pytest.fixture(scope="session")
 def omega012():
     return parse_omega("012")
+
+
+@pytest.fixture(scope="session")
+def short_omegas():
+    """Every omega that is not eventually constant, with preperiod of length
+    at most 2 and period of length at most 3: 13 preperiods times 30 periods."""
+    words = lambda lengths: ["".join(p) for k in lengths for p in product("012", repeat=k)]
+    return [
+        OmegaSequence(pre, per)
+        for pre in words(range(3))
+        for per in words(range(1, 4))
+        if len(set(per)) > 1
+    ]

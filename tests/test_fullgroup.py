@@ -464,6 +464,17 @@ class TestDump:
         f = embed_word("ab", omega012)
         assert "".join(dump_element(e)) == "".join(dump_element(f))
 
+    def test_dump_past_2048_lists_each_window_once(self, omega012):
+        # Windows of length 2202 are streamed junction by junction, repeats
+        # included; the table keeps each once, in the order first seen.
+        e = compose(shift_power(1100, omega012), shift_power(-1100, omega012))
+        rows = "".join(dump_element(e)).split("table:\n")[1].splitlines()
+        windows = [row.split()[0] for row in rows]
+        streamed = list(iter_windows(omega012, 2 * e.radius))
+        assert len(streamed) > len(windows) == len(set(windows))
+        assert set(windows) == language(omega012, 2 * e.radius)
+        assert windows == list(dict.fromkeys(streamed))
+
 
 class TestSchreierWindow:
     def test_matches_gamma_letters(self, suite):

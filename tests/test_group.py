@@ -8,7 +8,7 @@ from functools import lru_cache
 from itertools import product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from grigorchuk import (
     apply_generator,
@@ -23,7 +23,14 @@ from grigorchuk import (
     ray_at,
     root_and_sections,
 )
-from grigorchuk.group import _KLEIN, _element_keys, find_moved_vertex
+from grigorchuk.group import (
+    _KLEIN,
+    _element_keys,
+    _normalize,
+    _partner,
+    _square_normalized,
+    find_moved_vertex,
+)
 from grigorchuk.omega import OmegaSequence
 
 words = st.text(alphabet="abcd", max_size=10)
@@ -265,6 +272,18 @@ class TestActions:
                 truncated = prefix + "1111"
                 for g in "abcd":
                     assert ray_apply(g, Ray(prefix), w) == Ray(oracle_apply(g, truncated, w))
+
+    def test_partner_matches_literal_recursion(self, suite):
+        # b, c and d on every vertex of up to 10 digits: the letters that fix
+        # it, and the one image the other two share
+        vertices = ["".join(bits) for n in range(11) for bits in product("01", repeat=n)]
+        for w in suite:
+            for v in vertices:
+                fixers, image = _partner(v, w)
+                for g in "bcd":
+                    oracle = oracle_apply(g, v, w)
+                    assert (g in fixers) == (oracle == v)
+                    assert oracle == (v if g in fixers else image)
 
     @given(words, vertices, omegas)
     def test_word_action_matches_oracle(self, word, v, w):
@@ -551,6 +570,15 @@ class TestOrders:
         for w in suite + tuple(parse_omega(s) for s in ("0:1", "0")):
             for word in short:
                 assert element_order(word, w, 32) == order_by_scan(word, w, 32)
+
+    @given(st.text(alphabet="abcd", max_size=40))
+    @example("")
+    @example("a")
+    @example("aba")  # cancels completely
+    @example("bacadab")  # cancels "b", "a" outwards, then fuses d with c
+    def test_seam_square_matches_normalize(self, word):
+        p = normalize_word(word)
+        assert _square_normalized(p) == _normalize(p + p)
 
     def test_non_torsion_evidence(self):
         assert element_order("ab", parse_omega("0"), 64) is None

@@ -73,3 +73,16 @@ def test_symbols_from_is_exact(w, start):
     horizon = start + len(w.preperiod) + 2 * len(w.period) + 5
     scanned = {w.at(i) for i in range(start, horizon)}
     assert w.symbols_from(start) == scanned
+
+
+def test_shift_is_the_parsed_shifted_spec(short_omegas):
+    # Past the preperiod the shifted period is read off the sequence itself.
+    for w in short_omegas:
+        pre, per = w.preperiod, w.period
+        for n in range(3 * (len(pre) + len(per))):
+            if n <= len(pre):
+                spec = f"{pre[n:]}:{per}"
+            else:
+                spec = "".join(str(w.at(n + i)) for i in range(1, len(per) + 1))
+            assert w.shift(n) == parse_omega(spec)
+            assert w.shift(n).shift(1) == w.shift(n + 1)

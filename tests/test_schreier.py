@@ -5,6 +5,7 @@ builders, and the Gray code order."""
 import hashlib
 import re
 from enum import Enum
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -77,6 +78,37 @@ def glued_gamma(omega: OmegaSequence, n: int) -> LabeledGraph:
     for k in range(2, n + 1):
         g = glue(glue(g, block_graph(LAMBDA_BLOCKS[omega.at(k)])), g)
     return g
+
+
+# Both are pure, so the oracle memoizes them and stays cheap to rebuild at
+# every vertex count.
+_apply_generator = lru_cache(maxsize=None)(apply_generator)
+_gray_rank = lru_cache(maxsize=None)(gray_rank)
+
+
+def orbit_graph_by_apply(omega: OmegaSequence, vertex_count: int, with_xi: bool) -> LabeledGraph:
+    """Oracle for build_gamma_orbit: the images of four validated
+    apply_generator calls and two gray_rank calls per vertex, with no step
+    shared between generators."""
+    edges = []
+    for i in range(vertex_count):
+        v = ray_at(i).prefix + "1"
+        images = [(g, _apply_generator(g, v, omega)) for g in "abcd"]
+        # A loop belongs to the double-edge block joining the vertex to its
+        # partner, the image under the b/c/d generators that move it; when the
+        # partner is out of range the whole block is cut, loop included.
+        partner = next((image for _, image in images[1:] if image != v), None)
+        j_partner = None if partner is None else _gray_rank(partner)
+        keep_loops = with_xi if partner is None else j_partner < vertex_count
+        for g, image in images:
+            if image == v:
+                if keep_loops:
+                    edges.append((i, i, g))
+            else:
+                j = _gray_rank(image) if g == "a" else j_partner
+                if i < j < vertex_count:
+                    edges.append((i, j, g))
+    return LabeledGraph.make(vertex_count, edges)
 
 
 def _reverse(g: LabeledGraph) -> LabeledGraph:
@@ -317,6 +349,12 @@ class TestGammaBuilders:
     def test_recursive_equals_glued(self, w, n):
         g, glued = build_gamma_recursive(w, n), glued_gamma(w, n)
         assert g == glued and glued == g
+
+    def test_orbit_matches_apply_oracle(self, suite):
+        for w in suite:
+            for with_xi in (False, True):
+                for count in range(2, 301):
+                    assert build_gamma_orbit(w, count, with_xi) == orbit_graph_by_apply(w, count, with_xi)
 
     def test_orbit_cuts_whole_blocks(self, suite):
         # Cutting the half-line after `count` vertices keeps an edge inside the

@@ -100,18 +100,6 @@ def rho_by_automaton(omega, max_n: int) -> list[int]:
     return list(accumulate(diff[: max_n + 1]))
 
 
-def short_omegas() -> list:
-    """Every omega that is not eventually constant, with preperiod of length
-    at most 2 and period of length at most 3: 13 preperiods times 30 periods."""
-    words = lambda lengths: ["".join(p) for k in lengths for p in product("012", repeat=k)]
-    return [
-        OmegaSequence(pre, per)
-        for pre in words(range(3))
-        for per in words(range(1, 4))
-        if len(set(per)) > 1
-    ]
-
-
 def interleave(word: str, n: int, z_first: bool) -> str:
     """Length-n doubled word whose marker letters sit at even (z_first) or odd
     positions, with `word` supplying the plain letters in order."""
@@ -236,10 +224,9 @@ class TestComplexity:
         info = _junctions.cache_info()
         assert info.misses == info.currsize == 37
 
-    def test_matches_automaton_short_omegas(self):
-        omegas = short_omegas()
-        assert len(omegas) == 390
-        for w in omegas:
+    def test_matches_automaton_short_omegas(self, short_omegas):
+        assert len(short_omegas) == 390
+        for w in short_omegas:
             rho = rho_by_automaton(w, 256)
             assert [complexity(w, n) for n in range(1, 257)] == rho[1:], w.spec()
 
