@@ -101,13 +101,9 @@ def _timed_gray4_listing() -> float:
 def check_graph_oracle(omegas, caps: Caps, seed: int) -> tuple[bool, str]:
     bad: list[str] = []
     for omega in omegas:
-        # A row does not depend on the vertex count: the top level's hold all.
-        rows = list(schreier._orbit_rows(omega, 1 << (caps.graph_level + 1)))
-        for n in range(1, caps.graph_level + 1):
-            rec = schreier.build_gamma_recursive(omega, n)
-            count = 1 << (n + 1)
-            orb = schreier.LabeledGraph.make(count, schreier._orbit_edges(rows, count, False))
-            if rec != orb:
+        orbit = schreier.build_gamma_orbit_levels(omega, caps.graph_level)
+        for n, orb in enumerate(orbit, 1):
+            if schreier.build_gamma_recursive(omega, n) != orb:
                 bad.append(f"{omega.spec()}@n={n}")
     return not bad, (
         f"recursive == orbit for n<={caps.graph_level} on {len(omegas)} omegas"

@@ -57,16 +57,16 @@ class Cylinder:
     offset: int
 
 
-def iter_windows(omega: OmegaSequence, length: int, tag: str = "A"):
-    """All admissible words of the given length, deterministically ordered
-    (deduplicated only while small enough to materialize; duplicates are
-    harmless to every consumer)."""
+def iter_windows(omega: OmegaSequence, length: int, tag: str = "A", unique: bool = False):
+    """All admissible words of the given length, deterministically ordered: a
+    sorted set while small enough to materialize, else junction by junction
+    with repeats, which only `unique` removes (keeping first-seen order)."""
     if tag == "B":
         yield from sorted(double_language(omega, length))
     elif length <= 2048:
         yield from sorted(language(omega, length))
     else:
-        yield from _windows(omega, length)
+        yield from dict.fromkeys(_windows(omega, length)) if unique else _windows(omega, length)
 
 
 class FullGroupElement:
@@ -395,8 +395,5 @@ def dump_element(e: FullGroupElement) -> Iterator[str]:
     """Debug dump as a stream of text: formal word, radius, displacement
     bound, and the complete cocycle table in deterministic window order."""
     yield f"word: {e.label}\nradius: {e.radius}\ndisplacement_bound: {e.dbound}\ntable:\n"
-    windows = iter_windows(e.omega, 2 * e.radius, e.tag)
-    if e.tag == "A" and 2 * e.radius > 2048:
-        windows = dict.fromkeys(windows)  # only here does iter_windows repeat windows
-    for w in windows:
+    for w in iter_windows(e.omega, 2 * e.radius, e.tag, unique=True):
         yield f"  {w} -> {e._eval(w, e.radius):+d}\n"

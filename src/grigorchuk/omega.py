@@ -42,12 +42,16 @@ class OmegaSequence:
         return int(self.period[(i - len(pre) - 1) % len(self.period)])
 
     def shift(self, n: int = 1) -> "OmegaSequence":
-        """The sequence i -> self(i + n), with the preperiod consumed first; n
-        past the preperiod counts modulo the period, one cached object per class."""
+        """The sequence i -> self(i + n), with the preperiod consumed first."""
         if n < 0:
             raise ValueError("shift amount must be nonnegative")
-        pre = len(self.preperiod)
-        return _shifted(self, n if n <= pre else pre + (n - pre) % len(self.period))
+        pre, per = self.preperiod, self.period
+        if n > len(pre):
+            k = (n - len(pre)) % len(per)
+            pre, per = "", per[k:] + per[:k]
+        shifted = object.__new__(OmegaSequence)  # cut from validated parts: no checks
+        shifted.__dict__["preperiod"], shifted.__dict__["period"] = pre[n:], per
+        return shifted
 
     def is_eventually_constant(self) -> bool:
         return len(set(self.period)) == 1
@@ -68,12 +72,6 @@ class OmegaSequence:
 
     def __str__(self) -> str:
         return self.spec()
-
-
-@lru_cache(maxsize=4096)
-def _shifted(omega: OmegaSequence, k: int) -> OmegaSequence:
-    r = max(k - len(omega.preperiod), 0)  # the rotation of the period
-    return OmegaSequence(omega.preperiod[k:], omega.period[r:] + omega.period[:r])
 
 
 @lru_cache(maxsize=None)

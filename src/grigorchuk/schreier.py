@@ -155,8 +155,7 @@ def _orbit_rows(omega: OmegaSequence, vertex_count: int) -> Iterator[tuple[int, 
     of its partner (its image under the b/c/d letters that move it; None at
     rho) and the letters that fix it. A row does not depend on the count."""
     for i in range(vertex_count):
-        # The ray as a vertex: exact for a single generator step.
-        v = ray_at(i).prefix + "1"
+        v = ray_at(i).prefix + "1"  # the ray as a vertex: exact for one step
         fixers, partner = _partner(v, omega)
         j_partner = None if partner == v else _gray_rank(partner)
         yield _gray_rank(_flip(v[0]) + v[1:]), j_partner, fixers
@@ -183,6 +182,14 @@ def build_gamma_orbit(omega: OmegaSequence, vertex_count: int, with_xi: bool) ->
         raise ValueError("vertex_count must be >= 2")
     rows = _orbit_rows(omega, vertex_count)
     return LabeledGraph.make(vertex_count, _orbit_edges(rows, vertex_count, with_xi))
+
+
+def build_gamma_orbit_levels(omega: OmegaSequence, top_level: int) -> list[LabeledGraph]:
+    """build_gamma_orbit(omega, 2^(n+1), False) for n = 1..top_level, all cut
+    from the rows of the top level, as a row does not depend on the count."""
+    rows = list(_orbit_rows(omega, 2 << top_level))
+    counts = [2 << n for n in range(1, top_level + 1)]
+    return [LabeledGraph.make(count, _orbit_edges(rows, count, False)) for count in counts]
 
 
 def export_dot(g: LabeledGraph) -> Iterator[str]:

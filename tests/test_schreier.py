@@ -24,7 +24,7 @@ from grigorchuk import (
 )
 from grigorchuk.group import SYMBOL_GEN
 from grigorchuk.omega import OmegaSequence
-from grigorchuk.schreier import _block_letters, _block_word, _word_graph, gray_rank
+from grigorchuk.schreier import _block_letters, _block_word, _word_graph, build_gamma_orbit_levels, gray_rank
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -355,6 +355,14 @@ class TestGammaBuilders:
             for with_xi in (False, True):
                 for count in range(2, 301):
                     assert build_gamma_orbit(w, count, with_xi) == orbit_graph_by_apply(w, count, with_xi)
+
+    def test_orbit_levels_match_one_level_builds(self, suite):
+        # Every level is read from the top level's rows, cut at its own count.
+        for w in suite:
+            levels = build_gamma_orbit_levels(w, 8)
+            assert [g.n for g in levels] == [2 ** (n + 1) for n in range(1, 9)]
+            for n, g in enumerate(levels, 1):
+                assert g == build_gamma_orbit(w, 2 ** (n + 1), with_xi=False)
 
     def test_orbit_cuts_whole_blocks(self, suite):
         # Cutting the half-line after `count` vertices keeps an edge inside the
