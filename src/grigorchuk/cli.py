@@ -58,8 +58,8 @@ def _graph_text(g: schreier.LabeledGraph) -> Iterator[str]:
 def cmd_graph(args) -> tuple[int, Iterable[str]]:
     omega = parse_omega(args.omega)
     if args.oracle:
+        recursive = schreier.build_gamma_recursive(omega, args.level)  # first: rejects a bad level
         orbit = schreier.build_gamma_orbit(omega, 1 << (args.level + 1), with_xi=False)
-        recursive = schreier.build_gamma_recursive(omega, args.level)
         if recursive == orbit:
             return EXIT_OK, [f"MATCH level={args.level} vertices={recursive.n}\n"]
         return EXIT_CHECK_FAILED, [f"MISMATCH level={args.level}\n"]

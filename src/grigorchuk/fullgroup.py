@@ -14,7 +14,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from math import lcm
 
-from .group import GEN_SYMBOL, _check_word, apply_generator, find_moved_vertex, is_trivial
+from .group import GEN_SYMBOL, _check_word, apply_word, find_moved_vertex, is_trivial
 from .omega import OmegaSequence
 from .schreier import _block_letters, gray_rank, ray_at
 from .subshift import (
@@ -299,10 +299,9 @@ def schreier_consistency(word: str, omega: OmegaSequence, j: int) -> bool:
         raise ValueError("need j > |word| to stay clear of the basepoint")
     e = embed_word(word, omega)
     window = schreier_window(omega, j, e.radius)
-    p = ray_at(j).prefix
-    for g in reversed(word):
-        # A ray acts as the vertex p + "1" for one step only: pad each image again.
-        p = apply_generator(g, p + "1", omega).rstrip("1")
+    # The ray as a vertex padded with |word| + 1 ones: each letter changes at
+    # most one digit, at most one place past the last 0, so none reads the end.
+    p = apply_word(word, ray_at(j).prefix + "1" * (len(word) + 1), omega).rstrip("1")
     return e.cocycle(window) == gray_rank(p) - j
 
 

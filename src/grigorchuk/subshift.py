@@ -138,45 +138,42 @@ def extensions(word: str, omega: OmegaSequence, side: str) -> frozenset[str]:
     return frozenset(c for c in ALPHABET if is_admissible(word + c, omega))
 
 
-def _covers(omega: OmegaSequence, radius: int, targets: frozenset[str], n: int) -> bool:
-    """Every admissible word of length `radius` contains every target, the
-    targets being all admissible words of length n: in each junction word,
-    successive starts of a target, the ends counting as starts -1 and
-    len - n + 1, lie at most radius - n + 1 apart."""
-    gap = radius - n + 1
-    for j in _junctions(omega, _level_for(radius)):
-        end, last = len(j) - n + 1, dict.fromkeys(targets, -1)
+def _covers(omega: OmegaSequence, m: int, n: int, count: int) -> int | None:
+    """The widest gap between successive starts of one length-n word along the
+    level-m junction words, the ends counting as starts -1 and len - n + 1;
+    None once a gap exceeds 2^m - n + 1, or when a junction holds fewer than
+    `count` distinct words (a missing word's gap spans the whole junction)."""
+    limit, widest = (1 << m) - n + 1, 0
+    for j in _junctions(omega, m):
+        end, last = len(j) - n + 1, {}
         for i in range(end):
             u = j[i : i + n]
-            if i - last[u] > gap:
-                return False
+            gap = i - last.get(u, -1)
+            if gap > widest:
+                if gap > limit:
+                    return None
+                widest = gap
             last[u] = i
-        if any(end - i > gap for i in last.values()):
-            return False
-    return True
+        widest = max(widest, end - min(last.values()))
+        if len(last) < count or widest > limit:
+            return None
+    return widest
 
 
 def uniform_recurrence_radius(omega: OmegaSequence, n: int) -> int:
     """Least R such that every admissible word of length R contains every
-    admissible word of length n. Doubling search then bisection; finiteness is
-    the uniform recurrence of the half-line labelling."""
+    admissible word of length n. For n <= R <= 2^m the words of length R are
+    the windows of the level-m junction words, so R covers exactly when
+    R >= G_m + n - 1, G_m the widest gap of `_covers`; R(n) is that bound at
+    the first m where it is at most 2^m. A word of length R holds R - n + 1
+    windows, so the levels below that of rho(n) + n - 1 are skipped."""
     if n < 1:
         raise ValueError("length must be >= 1")
-    targets = language(omega, n)
-    radius = n
-    while not _covers(omega, radius, targets, n):
-        radius *= 2
-        if radius > _RADIUS_CAP:
-            raise RuntimeError(f"recurrence radius for n={n} exceeds cap {_RADIUS_CAP}")
-    lo, hi = radius // 2, radius  # lo failed (or is n-1), hi covers
-    lo = max(lo, n - 1)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _covers(omega, mid, targets, n):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    count = complexity(omega, n)
+    for m in range(_level_for(count + n - 1), _RADIUS_CAP.bit_length()):
+        if (widest := _covers(omega, m, n, count)) is not None:
+            return widest + n - 1
+    raise RuntimeError(f"recurrence radius for n={n} exceeds cap {_RADIUS_CAP}")
 
 
 @lru_cache(maxsize=16384)

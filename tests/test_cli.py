@@ -44,6 +44,12 @@ class TestGraph:
         assert code == 0 and out == "MATCH level=3 vertices=16\n"
         assert calls == [16]
 
+    @pytest.mark.parametrize("oracle", [(), ("--oracle",)], ids=["plain", "oracle"])
+    @pytest.mark.parametrize("level", ["-2", "-1", "0"])
+    def test_bad_level_exits_2(self, capsys, level, oracle):
+        code, out, err = run(capsys, "graph", "--omega", "012", "--level", level, *oracle)
+        assert code == 2 and out == "" and err == "error: level must be >= 1\n"
+
     def test_output_into_missing_directory_exits_2(self, capsys, tmp_path):
         target = tmp_path / "missing" / "g.dot"
         code, out, err = run(capsys, "graph", "--omega", "012", "--level", "3",

@@ -9,6 +9,8 @@ from hypothesis import given, strategies as st
 from grigorchuk import (
     Cylinder,
     Window,
+    apply_generator,
+    apply_word,
     commutator_identity_check,
     compose,
     double_element,
@@ -26,6 +28,7 @@ from grigorchuk import (
     is_trivial,
     language,
     parse_omega,
+    ray_at,
     schreier_consistency,
     schreier_window,
     shift_power,
@@ -44,6 +47,15 @@ def full_radius_is_identity(e):
     the element's full radius, with no narrow-first reading."""
     r = e.radius
     return all(e._eval(w, r) == 0 for w in iter_windows(e.omega, 2 * r, e.tag))
+
+
+def ray_image_by_letters(word, prefix, omega):
+    """Slow oracle for the ray image in schreier_consistency: one generator at
+    a time, the ray acting as the vertex prefix + "1" for one step, its image
+    stripped of trailing 1s and padded again."""
+    for g in reversed(word):
+        prefix = apply_generator(g, prefix + "1", omega).rstrip("1")
+    return prefix
 
 
 def order_by_powers(e, max_order):
@@ -291,6 +303,17 @@ class TestSchreierConsistency:
     def test_precondition(self, omega012):
         with pytest.raises(ValueError):
             schreier_consistency("abab", omega012, 3)
+
+    def test_one_apply_word_call_matches_letters(self, suite):
+        # schreier_consistency pads the ray with |word| + 1 ones and applies the
+        # whole word at once; rays near rho are the ones that need the padding
+        for w in (*suite, parse_omega("0:1"), parse_omega("2")):
+            rng = random.Random(w.spec())
+            for _ in range(400):
+                word = "".join(rng.choice("abcd") for _ in range(rng.randint(0, 12)))
+                p = ray_at(rng.randint(0, rng.choice((63, 2**40)))).prefix
+                image = apply_word(word, p + "1" * (len(word) + 1), w).rstrip("1")
+                assert image == ray_image_by_letters(word, p, w), (w.spec(), word, p)
 
 
 class TestCylinders:

@@ -20,6 +20,7 @@ from grigorchuk import (
     parse_omega,
     render_word,
     ruler_a,
+    subshift,
     uniform_recurrence_radius,
 )
 from grigorchuk.omega import EventuallyConstantOmegaError, OmegaSequence
@@ -98,6 +99,25 @@ def rho_by_automaton(omega, max_n: int) -> list[int]:
             diff[lo] += 1
             diff[min(length[v], max_n) + 1] -= 1
     return list(accumulate(diff[: max_n + 1]))
+
+
+def covers_by_gaps(omega, radius: int, n: int) -> bool:
+    """Slow oracle for uniform_recurrence_radius: every admissible word of
+    length `radius` contains every admissible word of length n. In each
+    junction word of the radius's level, successive starts of each length-n
+    word, the ends counting as starts -1 and len - n + 1, lie at most
+    radius - n + 1 apart; a wider gap is a window that misses the word."""
+    gap = radius - n + 1
+    for j in _junctions(omega, _level_for(radius)):
+        end, last = len(j) - n + 1, dict.fromkeys(language(omega, n), -1)
+        for i in range(end):
+            u = j[i : i + n]
+            if i - last[u] > gap:
+                return False
+            last[u] = i
+        if any(end - i > gap for i in last.values()):
+            return False
+    return True
 
 
 def interleave(word: str, n: int, z_first: bool) -> str:
@@ -209,12 +229,14 @@ class TestComplexity:
         assert complexity(parse_omega(spec), 4096) == rho
 
     def test_verify_builds_each_table_once(self, suite):
-        # `complexity` reads no junction word, so the keys come from the
-        # recurrence check: its radius searches reach level 8 (radii up to
-        # 256) on 012 and 10:012 and level 7 on 01, 02 and 2:01, 2*8 + 3*7 =
-        # 37 (omega, level) keys; the doubling check's levels 1..6 are among
-        # them. The cache holds them all without evicting.
-        _junctions.cache_clear()
+        # `complexity` reads no junction word. The recurrence check scans
+        # levels 2..8 on 012 and 10:012 and levels 2..7 on 01, 02 and 2:01
+        # (2*7 + 3*6 = 32 (omega, level) keys), and the doubling check's levels
+        # 1..6 add level 1 on each omega: 37 keys, held without evicting. The
+        # caches built on the junction words are cleared too, so the count
+        # does not depend on the tests that ran before.
+        for cache in (_junctions, language, double_language):
+            cache.cache_clear()
         for check in (
             battery.check_complexity_bounds,
             battery.check_doubling_bound,
@@ -335,6 +357,28 @@ class TestRecurrence:
             for n in range(1, 17):
                 radius = uniform_recurrence_radius(w, n)
                 assert radius >= n
+
+    def test_least_covering_radius_short_omegas(self, short_omegas):
+        for w in short_omegas:
+            for n in range(1, 9):
+                radius = uniform_recurrence_radius(w, n)
+                assert covers_by_gaps(w, radius, n), (w.spec(), n)
+                assert not covers_by_gaps(w, radius - 1, n), (w.spec(), n)
+
+    def test_least_covering_radius_long_words(self, suite):
+        for w in (*suite, parse_omega("0012"), parse_omega("0:0112")):
+            for n in (*range(1, 17), 31, 32, 33, 63, 64, 65):
+                radius = uniform_recurrence_radius(w, n)
+                assert covers_by_gaps(w, radius, n), (w.spec(), n)
+                assert not covers_by_gaps(w, radius - 1, n), (w.spec(), n)
+
+    def test_radius_cap(self, monkeypatch):
+        # the cap bounds the levels scanned; R(1) = 2^13 here
+        omega = parse_omega("2" * 10 + ":01")
+        assert uniform_recurrence_radius(omega, 1) == 8192
+        monkeypatch.setattr(subshift, "_RADIUS_CAP", 4096)
+        with pytest.raises(RuntimeError, match="recurrence radius for n=1 exceeds cap 4096"):
+            uniform_recurrence_radius(omega, 1)
 
     def test_every_long_window_contains_short_words(self, suite):
         for w in suite:
