@@ -211,31 +211,28 @@ def is_trivial(word: str, omega: OmegaSequence) -> bool:
 def element_order(word: str, omega: OmegaSequence, max_order: int) -> int | None:
     """Smallest k <= max_order with word^k trivial, else None.
 
-    G_omega acts faithfully on the binary tree and each level quotient is a
-    2-group, so an element of finite order has order 2^a. Repeated squaring
-    therefore finds every order up to max_order, and when no power of two up
-    to it is trivial no k up to it is either.
+    By the wreath recursion: w = (w0, w1) has order lcm(|w0|, |w1|), and
+    w = swap (w0, w1) has order 2 |w1 w0| as w^2 = (w1 w0, w0 w1). Orders are
+    powers of two: 2^d, d the most swaps on a path of sections to the identity,
+    a nontrivial letter counting one. Each level keeps every distinct section
+    once, with its largest count; sections without a swap are shorter, so the
+    sweep ends, or stops once a count passes log2(max_order).
     """
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
-    p, k = normalize_word(word), 1
-    while k <= max_order:
-        if _trivial_normalized(p, omega):
-            return k
-        p = _square_normalized(p)
-        k *= 2
-    return None
-
-
-def _square_normalized(p: str) -> str:
-    """_normalize(p + p) for a normalized p: equal letters cancel outwards from
-    the seam, then a Klein pair fuses once, between a-letters or at an end."""
-    n, k = len(p), 0
-    while k < n and p[n - 1 - k] == p[k]:
-        k += 1
-    if k < n and p[n - 1 - k] + p[k] in _KLEIN:
-        return p[: n - 1 - k] + _KLEIN[p[n - 1 - k] + p[k]] + p[k + 1:]
-    return p[: n - k] + p[k:]
+    most, depth, level = max_order.bit_length() - 1, 0, {normalize_word(word): 0}
+    while level and depth <= most:
+        below: dict[str, int] = {}
+        for w, swaps in level.items():
+            if len(w) < 2:
+                depth = max(depth, swaps + (not _trivial_normalized(w, omega)))
+                continue
+            swap, s0, s1 = _sections(w, omega.at(1))
+            for s in map(_normalize, (s0 + s1,) if swap else (s0, s1)):
+                below[s] = max(below.get(s, 0), swaps + swap)
+        level, omega = below, omega.shift(1)
+        depth = max([depth, *level.values()])
+    return 1 << depth if depth <= most else None
 
 
 def find_moved_vertex(word: str, omega: OmegaSequence) -> str:
@@ -298,9 +295,7 @@ def _element_keys(omega: OmegaSequence):
         if k is None:
             swap, s0, s1 = _sections(word, shifted[j].at(1))
             i = nxt[j]
-            # The public normalize_word: bench/tracer.py counts its calls
-            # under ball_sizes, these included, as group.ball_candidates.
-            triple = swap, key(normalize_word(s0), i), key(normalize_word(s1), i)
+            triple = swap, key(_normalize(s0), i), key(_normalize(s1), i)
             k = memo[word, j] = table.setdefault(triple, len(table))
         return k
 

@@ -141,12 +141,14 @@ def extensions(word: str, omega: OmegaSequence, side: str) -> frozenset[str]:
 def _covers(omega: OmegaSequence, m: int, n: int, count: int) -> int | None:
     """The widest gap between successive starts of one length-n word along the
     level-m junction words, the ends counting as starts -1 and len - n + 1;
-    None once a gap exceeds 2^m - n + 1, or when a junction holds fewer than
-    `count` distinct words (a missing word's gap spans the whole junction)."""
+    None once a gap exceeds 2^m - n + 1, or when fewer than `count` distinct
+    words start before that position (the gap of any other one is wider)."""
     limit, widest = (1 << m) - n + 1, 0
     for j in _junctions(omega, m):
         end, last = len(j) - n + 1, {}
-        for i in range(end):
+        for i in range(end):  # end > limit: a junction has 2^(m+1) - 1 letters
+            if i == limit and len(last) < count:
+                return None
             u = j[i : i + n]
             gap = i - last.get(u, -1)
             if gap > widest:
@@ -155,7 +157,7 @@ def _covers(omega: OmegaSequence, m: int, n: int, count: int) -> int | None:
                 widest = gap
             last[u] = i
         widest = max(widest, end - min(last.values()))
-        if len(last) < count or widest > limit:
+        if widest > limit:
             return None
     return widest
 

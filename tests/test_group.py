@@ -8,7 +8,7 @@ from functools import lru_cache
 from itertools import product
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import given, strategies as st
 
 from grigorchuk import (
     apply_generator,
@@ -26,9 +26,7 @@ from grigorchuk import (
 from grigorchuk.group import (
     _KLEIN,
     _element_keys,
-    _normalize,
     _partner,
-    _square_normalized,
     find_moved_vertex,
 )
 from grigorchuk.omega import OmegaSequence
@@ -229,6 +227,17 @@ def order_by_scan(word: str, omega: OmegaSequence, max_order: int) -> int | None
     for k in range(1, max_order + 1):
         if is_trivial(word * k, omega):
             return k
+    return None
+
+
+def order_by_squaring(word: str, omega: OmegaSequence, max_order: int) -> int | None:
+    """Oracle for element_order: orders are powers of two, so square the word
+    until it is trivial or the power passes the bound."""
+    p, k = normalize_word(word), 1
+    while k <= max_order:
+        if is_trivial(p, omega):
+            return k
+        p, k = normalize_word(p + p), 2 * k
     return None
 
 
@@ -571,18 +580,44 @@ class TestOrders:
             for word in short:
                 assert element_order(word, w, 32) == order_by_scan(word, w, 32)
 
-    @given(st.text(alphabet="abcd", max_size=40))
-    @example("")
-    @example("a")
-    @example("aba")  # cancels completely
-    @example("bacadab")  # cancels "b", "a" outwards, then fuses d with c
-    def test_seam_square_matches_normalize(self, word):
-        p = normalize_word(word)
-        assert _square_normalized(p) == _normalize(p + p)
+    def test_sweep_matches_squaring(self, short_omegas):
+        short = ["".join(p) for n in range(5) for p in product("abcd", repeat=n)]
+        extra = tuple(parse_omega(s) for s in ("0", "1", "2", "0:1", "2:01"))
+        for w in (*short_omegas, *extra):
+            # the squaring stops at the first trivial power, so one run at the
+            # top bound gives its answer at every lower bound
+            orders = {p: order_by_squaring(p, w, 1024) for p in set(map(normalize_word, short))}
+            for word in short:
+                order = orders[normalize_word(word)]
+                for bound in (1, 2, 3, 64, 1024):
+                    expected = order if order is not None and order <= bound else None
+                    assert element_order(word, w, bound) == expected
+
+    @pytest.mark.parametrize("t", range(11))
+    def test_late_symbol_orders_match_squaring(self, t):
+        # t leading 2s before the period 01: ac has order 2^(t+3), ad 2^(t+2)
+        w = parse_omega("2" * t + ":01")
+        for word, order in (("ac", 1 << (t + 3)), ("ad", 1 << (t + 2))):
+            assert element_order(word, w, order) == order == order_by_squaring(word, w, order)
+            assert element_order(word, w, order - 1) is None
+
+    def test_late_symbol_order_past_any_squaring(self):
+        w = parse_omega("2" * 500 + ":01")
+        assert element_order("ac", w, 2**600) == 2**503
+        assert element_order("ad", w, 2**600) == 2**502
+        assert element_order("ac", w, 2**503 - 1) is None
 
     def test_non_torsion_evidence(self):
         assert element_order("ab", parse_omega("0"), 64) is None
         assert element_order("ab", parse_omega("0:1"), 64) is None
+        assert element_order("ab", parse_omega("0:1"), 10**18) is None
+
+    def test_long_word_at_huge_bound(self):
+        # 2 never occurs in 01, so G_01 is not torsion; the sweep stops once a
+        # count passes 332 swaps
+        rng = random.Random(7)
+        word = "".join(rng.choice("abcd") for _ in range(10**5))
+        assert element_order(word, parse_omega("01"), 10**100) is None
 
 
 class TestBalls:
