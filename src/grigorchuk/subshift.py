@@ -120,22 +120,39 @@ def complexity(omega: OmegaSequence, n: int) -> int:
     return low + (high if n & 1 else low)
 
 
-def is_admissible(word: str, omega: OmegaSequence) -> bool:
-    """Membership is a substring search in the junction words."""
+def _require_letters(word: str) -> None:
     if word.translate(_DROP_ALPHABET):
         raise ValueError(f"letters must be in {ALPHABET!r}, got {word!r}")
+
+
+def is_admissible(word: str, omega: OmegaSequence) -> bool:
+    """Membership is a substring search in the junction words."""
+    _require_letters(word)
     return any(word in j for j in _junctions(omega, _level_for(len(word))))
 
 
 def extensions(word: str, omega: OmegaSequence, side: str) -> frozenset[str]:
-    """Letters that extend an admissible word on the given side."""
+    """Letters that extend an admissible word on the given side, read beside
+    its occurrences in the junction words of the level for n + 1, n = len(word).
+    Their length-(n + 1) windows are exactly the admissible words of that
+    length, so c + word (or word + c) is admissible exactly when c stands
+    beside some occurrence inside a junction word. The subshift is minimal, so
+    every admissible word extends on both sides: no letter found means the
+    word is not admissible."""
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    if not is_admissible(word, omega):
+    _require_letters(word)
+    offset = -1 if side == "left" else len(word)
+    letters = set()
+    for j in _junctions(omega, _level_for(len(word) + 1)):
+        i = j.find(word)
+        while i >= 0:
+            if 0 <= i + offset < len(j):
+                letters.add(j[i + offset])
+            i = j.find(word, i + 1)
+    if not letters:
         raise ValueError(f"word {render_word(word)} is not admissible")
-    if side == "left":
-        return frozenset(c for c in ALPHABET if is_admissible(c + word, omega))
-    return frozenset(c for c in ALPHABET if is_admissible(word + c, omega))
+    return frozenset(letters)
 
 
 def _covers(omega: OmegaSequence, m: int, n: int, count: int) -> int | None:

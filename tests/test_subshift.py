@@ -4,6 +4,7 @@ instead, and the two must agree wherever the scan premise holds. `complexity`
 reads no factor at all, and is checked against the window count of one length
 and against a suffix automaton of the junction words."""
 
+import random
 from itertools import accumulate, product
 
 import pytest
@@ -99,6 +100,18 @@ def rho_by_automaton(omega, max_n: int) -> list[int]:
             diff[lo] += 1
             diff[min(length[v], max_n) + 1] -= 1
     return list(accumulate(diff[: max_n + 1]))
+
+
+def extensions_by_membership(word: str, omega, side: str) -> frozenset:
+    """Oracle for `extensions`: one membership search for the word, then one
+    for the word with each letter of the alphabet added on the given side."""
+    if side not in ("left", "right"):
+        raise ValueError("side must be 'left' or 'right'")
+    if not is_admissible(word, omega):
+        raise ValueError(f"word {render_word(word)} is not admissible")
+    if side == "left":
+        return frozenset(c for c in ALPHABET if is_admissible(c + word, omega))
+    return frozenset(c for c in ALPHABET if is_admissible(word + c, omega))
 
 
 def covers_by_gaps(omega, radius: int, n: int) -> bool:
@@ -281,10 +294,13 @@ class TestRightSpecial:
     complexity estimate bounds."""
 
     def test_differences_count_right_extensions(self, suite):
-        for w in suite:
-            for n in range(1, 49):
-                special = sum(len(extensions(u, w, "right")) - 1 for u in language(w, n))
-                assert complexity(w, n + 1) - complexity(w, n) == special
+        """Both sides: the left-special factors count the same differences."""
+        for w in (*suite, parse_omega("0:0112"), parse_omega("21:0012")):
+            rho = [1] + [complexity(w, n) for n in range(1, 50)]
+            for n in range(49):
+                for side in ("left", "right"):
+                    special = sum(len(extensions(u, w, side)) - 1 for u in language(w, n))
+                    assert rho[n + 1] - rho[n] == special, (w.spec(), n, side)
 
     @pytest.mark.parametrize(
         "spec,steps",
@@ -333,6 +349,48 @@ class TestAdmissibility:
     def test_extensions_reject_inadmissible(self, omega012):
         with pytest.raises(ValueError):
             extensions("TT", omega012, "right")
+
+
+class TestExtensions:
+    """`extensions` reads the letters beside the occurrences of the word in
+    the junction words; the oracle asks five membership questions."""
+
+    @staticmethod
+    def outcome(find, word, omega, side):
+        try:
+            return find(word, omega, side)
+        except ValueError as err:
+            return str(err)
+
+    def test_matches_membership(self, suite):
+        rng = random.Random(1729)
+        lengths = [*range(65), *(2**m + d for m in range(1, 8) for d in (-1, 0, 1))]
+        for w in (*suite, parse_omega("0:0112"), parse_omega("21:0012")):
+            words = set().union(*(language(w, n) for n in lengths))
+            for _ in range(400):
+                n = rng.randint(1, 24)
+                words.add("".join(rng.choice(ALPHABET) for _ in range(n)))
+            for u in words:
+                for side in ("left", "right"):
+                    expected = self.outcome(extensions_by_membership, u, w, side)
+                    assert self.outcome(extensions, u, w, side) == expected, (w.spec(), u, side)
+
+    @pytest.mark.parametrize("spec", ["012", "2:01"])
+    def test_empty_word_every_letter(self, spec):
+        w = parse_omega(spec)
+        assert extensions("", w, "left") == extensions("", w, "right") == frozenset("T012")
+
+    def test_side_checked_before_letters(self, omega012):
+        with pytest.raises(ValueError, match="side must be 'left' or 'right'"):
+            extensions("0x", omega012, "up")
+
+    def test_rejects_foreign_letter(self, omega012):
+        with pytest.raises(ValueError, match="letters must be in 'T012'"):
+            extensions("0x", omega012, "left")
+
+    def test_inadmissible_message_renders_word(self, omega012):
+        with pytest.raises(ValueError, match="word L0L0 is not admissible"):
+            extensions("00", omega012, "right")
 
 
 class TestRecurrence:
