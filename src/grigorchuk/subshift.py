@@ -195,7 +195,7 @@ def uniform_recurrence_radius(omega: OmegaSequence, n: int) -> int:
     raise RuntimeError(f"recurrence radius for n={n} exceeds cap {_RADIUS_CAP}")
 
 
-@lru_cache(maxsize=16384)
+@lru_cache(maxsize=1)
 def double_language(omega: OmegaSequence, n: int) -> frozenset[str]:
     """Exact factors of the doubled shift, both phase classes: the length-n
     windows of the junction words with a marker before, between and after

@@ -5,6 +5,7 @@ reads no factor at all, and is checked against the window count of one length
 and against a suffix automaton of the junction words."""
 
 import random
+import tracemalloc
 from itertools import accumulate, product
 
 import pytest
@@ -479,9 +480,22 @@ class TestDoubleLanguage:
         rho = lambda w, k: complexity(w, k) if k else 1
         for w in (*suite, parse_omega("0012")):
             for n in range(1, 257):
-                # uncached, so the test keeps no doubled language alive
-                size = len(double_language.__wrapped__(w, n))
+                size = len(double_language(w, n))
                 assert size == rho(w, (n + 1) // 2) + rho(w, n // 2), (w.spec(), n)
+
+    def test_doubling_check_keeps_no_set(self, suite):
+        # the check lists 640 doubled languages (about 14 MB in all) and
+        # counts each once, so none but the last may outlive it
+        double_language.cache_clear()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            assert battery.check_doubling_bound(suite, battery.Caps(), battery.DEFAULT_SEED)[0]
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert double_language.cache_info().currsize <= 1
+        assert kept < 2 * 2**20, kept
 
     def test_matches_interleaved_language(self, suite):
         # oracle: both phase classes interleave markers into admissible words
