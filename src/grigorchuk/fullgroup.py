@@ -18,8 +18,8 @@ from .group import GEN_SYMBOL, _check_word, apply_word, find_moved_vertex, is_tr
 from .omega import OmegaSequence
 from .schreier import _block_letters, gray_rank, ray_at
 from .subshift import (
-    MARKER, _require_not_constant, _windows, double_language, is_admissible,
-    language, uniform_recurrence_radius,
+    MARKER, _doubled_junctions, _junctions, _level_for, _require_not_constant, _windows,
+    double_language, is_admissible, language, uniform_recurrence_radius,
 )
 
 _LABEL_CAP = 120
@@ -55,18 +55,6 @@ class Cylinder:
 
     word: str
     offset: int
-
-
-def iter_windows(omega: OmegaSequence, length: int, tag: str = "A", unique: bool = False):
-    """All admissible words of the given length, deterministically ordered: a
-    sorted set while small enough to materialize, else junction by junction
-    with repeats, which only `unique` removes (keeping first-seen order)."""
-    if tag == "B":
-        yield from sorted(double_language(omega, length))
-    elif length <= 2048:
-        yield from sorted(language(omega, length))
-    else:
-        yield from dict.fromkeys(_windows(omega, length)) if unique else _windows(omega, length)
 
 
 class FullGroupElement:
@@ -118,43 +106,39 @@ class FullGroupElement:
                     f"window [{-center}, {size - center}) too small for a radius-{f[1]} "
                     f"factor at displacement {n}"
                 )
-            n += _step(f, letters, c)
+            if f[0] != "gen":
+                n += _step(f, letters, c)
+            elif not f[3]:  # a: cross the simple-edge block
+                n += 1 if letters[c] == "T" else -1
+            elif letters[c] != "T":  # b, c, d: stay on their loop, else cross
+                n += letters[c] != f[3]
+            elif letters[c - 1] != f[3]:  # a loop on the left stays put
+                n -= 1
         if abs(n) > self.dbound:
             raise RuntimeError(f"displacement {n} exceeds bound {self.dbound} for {self.label}")
         return n
 
 
-def _match(letters: str, center: int, u: str, q: int) -> bool:
-    return letters[center + q : center + q + len(u)] == u
-
-
 def _step(f: tuple, letters: str, center: int) -> int:
-    """The cocycle of one primitive factor at the marked vertex `center`."""
+    """The cocycle of one non-generator factor at the marked vertex `center`."""
     kind = f[0]
-    if kind == "gen":
-        symbol, cur = f[3], letters[center]
-        if not symbol:  # a: cross the simple-edge block
-            return 1 if cur == "T" else -1
-        if cur != "T":
-            return 0 if cur == symbol else 1
-        return 0 if letters[center - 1] == symbol else -1  # a loop stays put
     if kind == "shift":
         return f[3]
     if kind == "tau":
         return 1 if letters[center] == MARKER else -1
     if kind == "sigma":
         _, _, _, u, ofs, i, j = f
-        if _match(letters, center, u, ofs - i):
+        if letters.startswith(u, center + ofs - i):
             return j - i
-        if _match(letters, center, u, ofs - j):
+        if letters.startswith(u, center + ofs - j):
             return i - j
         return 0
     if kind == "ret":
         _, _, bound, u, ofs, sign = f
-        if not _match(letters, center, u, ofs):
+        if not letters.startswith(u, center + ofs):
             return 0
         for k in range(1, bound + 1):
-            if _match(letters, center, u, ofs + sign * k):
+            if letters.startswith(u, center + ofs + sign * k):
                 return sign * k
         raise RuntimeError(
             f"no return of {u!r} within bound {bound}; widen the recurrence bound"
@@ -236,28 +220,34 @@ def embed_word(word: str, omega: OmegaSequence) -> FullGroupElement:
 
 
 def element_order_fg(e: FullGroupElement, max_order: int) -> int | None:
-    """The least k >= 1 with e^k the identity, or None when it exceeds
-    max_order: the lcm of the marked vertex's return times (displacement 0,
-    as the subshift has no periodic points) over all admissible windows.
-    Windows are read narrow first; a walk that stays inside its window settles
-    every wider window around it, and one that leaves asks for wider windows."""
+    """The least k >= 1 with e^k the identity, or None past max_order: the lcm
+    of the return times of all points (displacement 0; there are no periodic
+    points). Walks start at each c in r..len(j) - r of the junction words j
+    whose windows are the admissible words of length 2r (doubled for tag B),
+    r doubling from 1. Every point carries some j around its marked vertex at
+    such a c, and j is admissible, so a walk inside j is exact even past
+    [c - r, c + r); one that leaves j raises and r doubles. Reading order is
+    free: a return settles every wider window, and a failure stays failed."""
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
     widest, r = e.radius + (max_order - 1) * e.dbound, 1
     while True:
         r = min(r, widest)
+        words = (_doubled_junctions(e.omega, _level_for(r)) if e.tag == "B"
+                 else _junctions(e.omega, _level_for(2 * r)))
         order = 1
         try:
-            for w in iter_windows(e.omega, 2 * r, e.tag):
-                n, t = e._eval(w, r), 1
-                while n and t < max_order:
-                    n += e._eval(w, r + n)
-                    t += 1
-                if n:
-                    return None
-                order = lcm(order, t)
-                if order > max_order:
-                    return None
+            for j in words:
+                for c in range(r, len(j) - r + 1):
+                    n, t = e._eval(j, c), 1
+                    while n and t < max_order:
+                        n += e._eval(j, c + n)
+                        t += 1
+                    if n:
+                        return None
+                    order = lcm(order, t)
+                    if order > max_order:
+                        return None
             return order
         except InsufficientWindowError:
             if r == widest:  # a walk of max_order steps never leaves these
@@ -306,11 +296,15 @@ def schreier_consistency(word: str, omega: OmegaSequence, j: int) -> bool:
 
 
 def _joint_occurrence(u: str, k: int, omega: OmegaSequence) -> bool:
-    """Is there an admissible word carrying u both at offset 0 and offset k?"""
-    return any(
-        w.startswith(u) and w[k : k + len(u)] == u
-        for w in language(omega, len(u) + k)
-    )
+    """Is there an admissible word carrying u both at offset 0 and offset k?
+    Some occurrence of u in the junction words for |u| + k recurs k later."""
+    for j in _junctions(omega, _level_for(len(u) + k)):
+        i = j.find(u)
+        while i >= 0:
+            if j.startswith(u, i + k):
+                return True
+            i = j.find(u, i + 1)
+    return False
 
 
 def find_disjoint_cylinder(omega: OmegaSequence, n: int) -> Cylinder:
@@ -392,7 +386,13 @@ def commutator_identity_check(word: str, omega: OmegaSequence) -> bool:
 
 def dump_element(e: FullGroupElement) -> Iterator[str]:
     """Debug dump as a stream of text: formal word, radius, displacement
-    bound, and the complete cocycle table in deterministic window order."""
+    bound, and the complete cocycle table in deterministic window order: a
+    sorted set while small enough to materialize, else first-seen order."""
     yield f"word: {e.label}\nradius: {e.radius}\ndisplacement_bound: {e.dbound}\ntable:\n"
-    for w in iter_windows(e.omega, 2 * e.radius, e.tag, unique=True):
+    length = 2 * e.radius
+    if e.tag == "B" or length <= 2048:
+        windows = sorted((double_language if e.tag == "B" else language)(e.omega, length))
+    else:  # junction by junction, each window once in first-seen order
+        windows = dict.fromkeys(_windows(_junctions(e.omega, _level_for(length)), length))
+    for w in windows:
         yield f"  {w} -> {e._eval(w, e.radius):+d}\n"

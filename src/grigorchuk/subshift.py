@@ -59,9 +59,9 @@ def _junctions(omega: OmegaSequence, m: int) -> tuple[str, ...]:
     return tuple(f"{b}{s}{b}" for s in sorted(omega.symbols_from(m)))
 
 
-def _windows(omega: OmegaSequence, n: int):
-    """Every admissible word of length n >= 1, junction by junction, repeats included."""
-    for j in _junctions(omega, _level_for(n)):
+def _windows(words, n: int):
+    """Every window of length n of the words, word by word, repeats included."""
+    for j in words:
         for i in range(len(j) - n + 1):
             yield j[i : i + n]
 
@@ -74,7 +74,7 @@ def language(omega: OmegaSequence, n: int) -> frozenset[str]:
     _require_not_constant(omega)
     if n == 0:
         return frozenset({""})
-    return frozenset(_windows(omega, n))
+    return frozenset(_windows(_junctions(omega, _level_for(n)), n))
 
 
 def complexity(omega: OmegaSequence, n: int) -> int:
@@ -195,15 +195,15 @@ def uniform_recurrence_radius(omega: OmegaSequence, n: int) -> int:
     raise RuntimeError(f"recurrence radius for n={n} exceeds cap {_RADIUS_CAP}")
 
 
+def _doubled_junctions(omega: OmegaSequence, m: int) -> list[str]:
+    """The level-m junction words, a marker before, between and after letters."""
+    return [MARKER + MARKER.join(j) + MARKER for j in _junctions(omega, m)]
+
+
 @lru_cache(maxsize=1)
 def double_language(omega: OmegaSequence, n: int) -> frozenset[str]:
     """Exact factors of the doubled shift, both phase classes: the length-n
-    windows of the junction words with a marker before, between and after
-    their letters."""
+    windows of the doubled junction words."""
     if n < 1:
         raise ValueError("length must be >= 1")
-    words: set[str] = set()
-    for j in _junctions(omega, _level_for((n + 1) // 2)):
-        d = MARKER + MARKER.join(j) + MARKER
-        words.update(d[i : i + n] for i in range(len(d) - n + 1))
-    return frozenset(words)
+    return frozenset(_windows(_doubled_junctions(omega, _level_for((n + 1) // 2)), n))

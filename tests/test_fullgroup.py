@@ -2,6 +2,8 @@
 witnesses, and the doubled system."""
 
 import random
+import tracemalloc
+from math import lcm
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,9 +13,11 @@ from grigorchuk import (
     Window,
     apply_generator,
     apply_word,
+    battery,
     commutator_identity_check,
     compose,
     double_element,
+    double_language,
     dump_element,
     element_order,
     element_order_fg,
@@ -35,18 +39,50 @@ from grigorchuk import (
     swap_involution,
     tau,
 )
-from grigorchuk.fullgroup import InsufficientWindowError, iter_windows
+from grigorchuk.fullgroup import InsufficientWindowError
 from grigorchuk.omega import EventuallyConstantOmegaError
+from grigorchuk.subshift import _junctions, _level_for, _windows
 
 words = st.text(alphabet="abcd", max_size=8)
 DEEP_PREPERIOD = "2" * 60 + ":01"
+
+
+def sorted_windows(omega, length, tag="A"):
+    """The admissible words of one length, sorted: doubled ones for tag B."""
+    return sorted((double_language if tag == "B" else language)(omega, length))
 
 
 def full_radius_is_identity(e):
     """Slow oracle for is_identity: the cocycle at every admissible window of
     the element's full radius, with no narrow-first reading."""
     r = e.radius
-    return all(e._eval(w, r) == 0 for w in iter_windows(e.omega, 2 * r, e.tag))
+    return all(e._eval(w, r) == 0 for w in sorted_windows(e.omega, 2 * r, e.tag))
+
+
+def order_by_windows(e, max_order):
+    """Slow oracle for element_order_fg: each walk runs inside one admissible
+    window of length 2r, read from the sorted language, narrow first; a walk
+    that leaves its window doubles r."""
+    widest, r = e.radius + (max_order - 1) * e.dbound, 1
+    while True:
+        r = min(r, widest)
+        order = 1
+        try:
+            for w in sorted_windows(e.omega, 2 * r, e.tag):
+                n, t = e._eval(w, r), 1
+                while n and t < max_order:
+                    n += e._eval(w, r + n)
+                    t += 1
+                if n:
+                    return None
+                order = lcm(order, t)
+                if order > max_order:
+                    return None
+            return order
+        except InsufficientWindowError:
+            if r == widest:
+                raise
+            r *= 2
 
 
 def ray_image_by_letters(word, prefix, omega):
@@ -213,6 +249,62 @@ class TestEmbedding:
         assert element_order_fg(e, 5) is None
 
 
+class TestJunctionWalk:
+    """element_order_fg walks the junction words; the sorted-window loop it
+    replaced is the oracle order_by_windows."""
+
+    BOUNDS = (1, 8, 32)
+
+    def _assert_matches(self, elements):
+        for e in elements:
+            for bound in self.BOUNDS:
+                expected = order_by_windows(e, bound)
+                assert element_order_fg(e, bound) == expected, (e.omega.spec(), e.label, bound)
+
+    def test_short_words(self, suite):
+        rng = random.Random(41)
+        for w in suite:
+            words = ["", *"abcd"]
+            words += ["".join(rng.choice("abcd") for _ in range(rng.randint(2, 6))) for _ in range(80)]
+            self._assert_matches(embed_word(word, w) for word in words)
+
+    def test_sigma_and_return_elements(self, suite):
+        for w in suite:
+            cyl = find_disjoint_cylinder(w, 3)
+            s01, s12 = swap_involution(cyl, 0, 1, w), swap_involution(cyl, 1, 2, w)
+            r0 = first_return_element(cyl, w)
+            r1 = compose(shift_power(1, w), compose(r0, shift_power(-1, w)))
+            self._assert_matches((
+                s01, s12, swap_involution(cyl, 0, 2, w), compose(s01, s12),
+                r0, r1, compose(r0, r1), compose(s01, compose(r0, s01)),
+                first_return_element(Cylinder("", 0), w),
+            ))
+
+    def test_doubled_elements(self, suite):
+        rng = random.Random(42)
+        for w in suite:
+            t = tau(w)
+            elements = [t, compose(t, t)]
+            for _ in range(6):
+                g = embed_word("".join(rng.choice("abcd") for _ in range(rng.randint(0, 4))), w)
+                g1, g2 = double_element(g, 1), double_element(g, 2)
+                elements += [g1, g2, compose(g1, g2), compose(g1, compose(t, compose(g1, t)))]
+            self._assert_matches(elements)
+
+    def test_degenerate_check_keeps_no_language(self, suite):
+        # the check's r0 order bound of 64 once read language(012, 1024) and
+        # language(012, 512), about 4 MB that the language cache kept until exit
+        language.cache_clear()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            assert battery.check_degenerate_witnesses(suite, battery.Caps(), battery.DEFAULT_SEED)[0]
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept < 2**19, kept
+
+
 class TestLongWords:
     """Words of 2000+ letters: flat programs evaluate them with a loop."""
 
@@ -357,7 +449,7 @@ class TestSwapInvolutions:
     def test_support_is_cylinder_pair(self, setup, omega012):
         cyl, s = setup
         sigma = s[0, 1]
-        for letters in iter_windows(omega012, 2 * sigma.radius):
+        for letters in language(omega012, 2 * sigma.radius):
             n = sigma._eval(letters, sigma.radius)
             in_u = letters[sigma.radius + cyl.offset : sigma.radius + cyl.offset + len(cyl.word)] == cyl.word
             in_phi_u = letters[sigma.radius + cyl.offset - 1 : sigma.radius + cyl.offset - 1 + len(cyl.word)] == cyl.word
@@ -394,7 +486,7 @@ class TestFirstReturn:
         r0 = first_return_element(cyl, omega012)
         r1 = compose(shift_power(1, omega012), compose(r0, shift_power(-1, omega012)))
         # support of r1 is the shifted cylinder: pattern at offset-1
-        for letters in iter_windows(omega012, 2 * r1.radius):
+        for letters in language(omega012, 2 * r1.radius):
             n = r1._eval(letters, r1.radius)
             shifted = letters[r1.radius + cyl.offset - 1 : r1.radius + cyl.offset - 1 + len(cyl.word)]
             if shifted != cyl.word:
@@ -493,9 +585,10 @@ class TestDump:
         e = compose(shift_power(1100, omega012), shift_power(-1100, omega012))
         rows = "".join(dump_element(e)).split("table:\n")[1].splitlines()
         windows = [row.split()[0] for row in rows]
-        streamed = list(iter_windows(omega012, 2 * e.radius))
+        n = 2 * e.radius
+        streamed = list(_windows(_junctions(omega012, _level_for(n)), n))
         assert len(streamed) > len(windows) == len(set(windows))
-        assert set(windows) == language(omega012, 2 * e.radius)
+        assert set(windows) == language(omega012, n)
         assert windows == list(dict.fromkeys(streamed))
 
 

@@ -50,7 +50,7 @@ def scan_factors(omega, n: int) -> frozenset:
 def complexity_by_windows(omega, n: int) -> int:
     """Oracle for `complexity`: the distinct length-n windows of the junction
     words, counted for one length at a time."""
-    return len(set(_windows(omega, n)))
+    return len(set(_windows(_junctions(omega, _level_for(n)), n)))
 
 
 def rho_by_automaton(omega, max_n: int) -> list[int]:
