@@ -16,7 +16,7 @@ from math import lcm
 
 from .group import GEN_SYMBOL, _check_word, apply_word, find_moved_vertex, is_trivial
 from .omega import OmegaSequence
-from .schreier import _block_letters, gray_rank, ray_at
+from .schreier import _block_word, gray_rank, ray_at, ruler_a
 from .subshift import (
     MARKER, _doubled_junctions, _junctions, _level_for, _require_not_constant, _windows,
     double_language, is_admissible, language, uniform_recurrence_radius,
@@ -77,9 +77,9 @@ class FullGroupElement:
         # factor k reads its own radius around the point the earlier factors
         # moved the marked vertex to, at most their summed bounds away
         radius, dbound = 1, 0
-        for _, r, d, *_ in self.factors:
-            radius = max(radius, dbound + r)
-            dbound += d
+        for f in self.factors:
+            radius = max(radius, dbound + f[1])
+            dbound += f[2]
         self.radius = radius
         self.dbound = dbound
         self.label = label if len(label) <= _LABEL_CAP else label[: _LABEL_CAP - 3] + "..."
@@ -158,6 +158,9 @@ def _gen(letter: str) -> tuple:
     return ("gen", 1, 1, str(GEN_SYMBOL[letter]) if letter != "a" else "")
 
 
+_GEN = {ch: _gen(ch) for ch in "abcd"}
+
+
 def _inverse_factor(f: tuple) -> tuple:
     """gen, tau and sigma are involutions; shift and ret step the other way."""
     if f[0] == "dbl":
@@ -214,8 +217,9 @@ def embed_word(word: str, omega: OmegaSequence) -> FullGroupElement:
     _require_not_constant(omega)
     if not word:
         return identity_element(omega)
-    factors = tuple(_gen(ch) for ch in reversed(word))
-    label = "(" * (len(word) - 1) + word[0] + "".join(f" {ch})" for ch in word[1:])
+    factors = map(_GEN.__getitem__, reversed(word))
+    # "a) b) c)" less its first ")", behind "((": "((a b) c)"
+    label = "(" * (len(word) - 1) + (") ".join(word) + ")").replace(")", "", 1)
     return FullGroupElement(omega, "A", factors, label=label)
 
 
@@ -256,10 +260,18 @@ def element_order_fg(e: FullGroupElement, max_order: int) -> int | None:
 
 
 def schreier_window(omega: OmegaSequence, center: int, radius: int) -> Window:
-    """The radius-r window of the half-line graph around vertex `center`."""
+    """The radius-r window of the half-line graph around vertex `center`: the
+    block-word letters from position first = center - r + 1 on. Those 2r
+    positions meet at most one multiple of 2^m >= 2r; around the least one q
+    from first on the block word reads B_m s B_m, s its letter at q."""
     if center < radius:
         raise ValueError("window would leave the half-line")
-    return Window(radius, _block_letters(omega, center - radius + 1, center + radius))
+    first, m = center - radius + 1, _level_for(2 * radius)
+    q = ((first - 1 >> m) + 1) << m
+    block = _block_word(omega, m)
+    junction = f"{block}{omega.at(ruler_a(q >> 1))}{block}"  # q at index len(block)
+    start = first - q + len(block)
+    return Window(radius, junction[start : start + 2 * radius])
 
 
 def injectivity_witness(word: str, omega: OmegaSequence) -> Window | None:

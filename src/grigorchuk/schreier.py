@@ -4,9 +4,9 @@ from rho."""
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import islice, starmap, zip_longest
 from operator import eq
 from typing import NamedTuple
@@ -21,10 +21,10 @@ Edge = tuple[int, int, str]
 class LabeledGraph:
     """Undirected edge-labeled multigraph with vertices 0..n-1 numbered left to
     right along the half-line. `edges` is re-iterable in canonical sorted
-    order: a tuple for a graph made from its edges, or produced letter by
-    letter from the block word for a graph read off its word. Equality is
-    exact equality of n and of the whole edge sequence, whichever way either
-    side stores its edges."""
+    order: a tuple for a graph made from its edges, else a stream that holds no
+    edge and is made again on each pass, from the block word letter by letter
+    or from the orbit row by row. Equality is exact equality of n and of the
+    whole edge sequence, whichever way either side stores its edges."""
 
     n: int
     edges: Iterable[Edge]
@@ -92,15 +92,6 @@ def ruler_a(i: int) -> int:
     return (i & -i).bit_length()
 
 
-def _block_letters(omega: OmegaSequence, first: int, last: int) -> str:
-    """Letters at positions first..last of the infinite block word: Theta at
-    odd positions, the i-th double-edge block Lambda_{omega(ruler(i))} at
-    position 2i."""
-    return "".join(
-        ["T" if p % 2 else str(omega.at(ruler_a(p // 2))) for p in range(first, last + 1)]
-    )
-
-
 def _block_word(omega: OmegaSequence, m: int) -> str:
     """B_m, the first 2^m - 1 letters of the block word, by the recursion
     B_1 = T, B_(k+1) = B_k omega(k) B_k (B_0 is empty)."""
@@ -150,38 +141,48 @@ def build_gamma_recursive(omega: OmegaSequence, n: int) -> LabeledGraph:
     return _word_graph(_block_word(omega, n + 1))
 
 
-def _orbit_rows(omega: OmegaSequence, vertex_count: int) -> Iterator[tuple[int, int | None, str]]:
+def _orbit_rows(omega: OmegaSequence, vertex_count: int) -> Iterator[tuple[int, int, str]]:
     """One row per orbit point in Gray order: the rank of its a-image, the rank
-    of its partner (its image under the b/c/d letters that move it; None at
-    rho) and the letters that fix it. A row does not depend on the count."""
+    of its partner (its image under the b/c/d letters that move it; rho, which
+    none moves, is its own) and the letters that fix it. A row does not depend
+    on the count."""
     for i in range(vertex_count):
         v = ray_at(i).prefix + "1"  # the ray as a vertex: exact for one step
         fixers, partner = _partner(v, omega)
-        j_partner = None if partner == v else _gray_rank(partner)
-        yield _gray_rank(_flip(v[0]) + v[1:]), j_partner, fixers
+        yield _gray_rank(_flip(v[0]) + v[1:]), _gray_rank(partner), fixers
 
 
-def _orbit_edges(rows: Iterable[tuple], vertex_count: int, with_xi: bool) -> Iterator[Edge]:
-    """The edges among the first vertex_count rows, one (gamma, s gamma) per
-    generator and none leaving the range. A loop belongs to the double-edge
-    block joining a point to its partner, and is cut with it when the partner
-    is out of range. The three loops at rho are kept only when with_xi."""
-    for i, (j_a, j_partner, fixers) in enumerate(islice(rows, vertex_count)):
-        if (with_xi if j_partner is None else j_partner < vertex_count):
-            yield from ((i, i, g) for g in fixers)
-        if i < j_a < vertex_count:
-            yield i, j_a, "a"
-        if j_partner is not None and i < j_partner < vertex_count:
-            yield from ((i, j_partner, g) for g in "bcd" if g not in fixers)
+@dataclass(frozen=True)
+class _OrbitEdges:
+    """The edges among the first `count` rows, one (gamma, s gamma) per
+    generator and none leaving the range, made again on each pass over
+    `rows()`. Row i gives the edges (i, v >= i): its loops, then its a-edge and
+    partner edges ordered by v, so the stream is in canonical order, unsorted.
+    A loop belongs to the double-edge block joining a point to its partner,
+    and is cut with it when the partner is out of range; the three loops at
+    rho, its own partner, are kept only when with_xi."""
+
+    rows: Callable[[], Iterable[tuple]]
+    count: int
+    with_xi: bool
+
+    def __iter__(self) -> Iterator[Edge]:
+        count = self.count
+        for i, (j_a, j_p, fixers) in enumerate(islice(self.rows(), count)):
+            if (self.with_xi if j_p == i else j_p < count):
+                yield from ((i, i, g) for g in fixers)
+            a = ((i, j_a, "a"),) if i < j_a < count else ()
+            p = [(i, j_p, g) for g in "bcd" if g not in fixers] if i < j_p < count else []
+            yield from (*a, *p) if j_a < j_p else (*p, *a)
 
 
 def build_gamma_orbit(omega: OmegaSequence, vertex_count: int, with_xi: bool) -> LabeledGraph:
     """Direct orbit computation: vertices are the first rays in Gray order, and
-    their edges (see `_orbit_edges`) stream into the sort, which alone holds them."""
+    their edges (see `_OrbitEdges`) stream from rows computed again on each pass."""
     if vertex_count < 2:
         raise ValueError("vertex_count must be >= 2")
-    rows = _orbit_rows(omega, vertex_count)
-    return LabeledGraph.make(vertex_count, _orbit_edges(rows, vertex_count, with_xi))
+    rows = partial(_orbit_rows, omega, vertex_count)
+    return LabeledGraph(vertex_count, _OrbitEdges(rows, vertex_count, with_xi))
 
 
 def build_gamma_orbit_levels(omega: OmegaSequence, top_level: int) -> list[LabeledGraph]:
@@ -189,7 +190,7 @@ def build_gamma_orbit_levels(omega: OmegaSequence, top_level: int) -> list[Label
     from the rows of the top level, as a row does not depend on the count."""
     rows = list(_orbit_rows(omega, 2 << top_level))
     counts = [2 << n for n in range(1, top_level + 1)]
-    return [LabeledGraph.make(count, _orbit_edges(rows, count, False)) for count in counts]
+    return [LabeledGraph(count, _OrbitEdges(rows.__iter__, count, False)) for count in counts]
 
 
 def export_dot(g: LabeledGraph) -> Iterator[str]:

@@ -3,7 +3,7 @@ from itertools import product
 import pytest
 from hypothesis import HealthCheck, settings
 
-from grigorchuk import OmegaSequence, parse_omega
+from grigorchuk import OmegaSequence, parse_omega, ruler_a
 
 settings.register_profile(
     "det",
@@ -38,3 +38,12 @@ def short_omegas():
         for per in words(range(1, 4))
         if len(set(per)) > 1
     ]
+
+
+def block_letters(omega: OmegaSequence, first: int, last: int) -> str:
+    """Per-position oracle for the block word: the letters at positions
+    first..last, Theta at odd positions and the i-th double-edge block
+    Lambda_{omega(ruler(i))} at position 2i."""
+    return "".join(
+        ["T" if p % 2 else str(omega.at(ruler_a(p // 2))) for p in range(first, last + 1)]
+    )

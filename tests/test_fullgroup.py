@@ -39,9 +39,11 @@ from grigorchuk import (
     swap_involution,
     tau,
 )
-from grigorchuk.fullgroup import InsufficientWindowError
+from grigorchuk.fullgroup import InsufficientWindowError, _gen
 from grigorchuk.omega import EventuallyConstantOmegaError
 from grigorchuk.subshift import _junctions, _level_for, _windows
+
+from conftest import block_letters
 
 words = st.text(alphabet="abcd", max_size=8)
 DEEP_PREPERIOD = "2" * 60 + ":01"
@@ -247,6 +249,56 @@ class TestEmbedding:
         e = compose(compose(s[0, 1], s[1, 2]), s[3, 4])
         assert element_order_fg(e, 12) == order_by_powers(e, 12) == 6
         assert element_order_fg(e, 5) is None
+
+
+def old_label(word):
+    """The left-nested label of a generator word, letter by letter, cut at 120
+    characters as FullGroupElement cuts it."""
+    label = "(" * (len(word) - 1) + word[0] + "".join(f" {ch})" for ch in word[1:])
+    return label if len(label) <= 120 else label[:117] + "..."
+
+
+def fold_by_unpack(factors):
+    """Radius and displacement bound of a program, folded as (kind, r, d, *data)."""
+    radius, dbound = 1, 0
+    for _, r, d, *_ in factors:
+        radius = max(radius, dbound + r)
+        dbound += d
+    return radius, dbound
+
+
+class TestElementConstructor:
+    def test_factors_from_the_generator_table(self, omega012):
+        rng = random.Random(12)
+        for word in ["a", "b", "c", "d", *("".join(rng.choices("abcd", k=n)) for n in range(2, 40))]:
+            assert embed_word(word, omega012).factors == tuple(_gen(ch) for ch in reversed(word))
+
+    def test_labels_across_the_cut(self, omega012):
+        # a label of n letters has 4n - 3 characters: 30 letters fit in 120
+        rng = random.Random(13)
+        for n in (1, 2, 3, 30, 31, 40, 41, 1200):
+            word = "".join(rng.choices("abcd", k=n))
+            assert embed_word(word, omega012).label == old_label(word)
+
+    def test_radius_and_bound_of_mixed_programs(self, omega012):
+        rng = random.Random(14)
+        cyl = find_disjoint_cylinder(omega012, 3)
+        pool = [
+            embed_word("abcada", omega012),
+            shift_power(3, omega012),
+            shift_power(-5, omega012),
+            swap_involution(cyl, 0, 2, omega012),
+            first_return_element(cyl, omega012),
+        ]
+        for _ in range(40):
+            g, h = rng.choice(pool), rng.choice(pool)
+            pool.append(compose(g, h) if rng.random() < 0.7 else inverse(g))
+        doubled = [double_element(e, rng.choice((1, 2))) for e in rng.sample(pool, 8)]
+        for _ in range(20):
+            g, h = rng.choice(doubled), rng.choice((*doubled, tau(omega012)))
+            doubled.append(compose(g, h) if rng.random() < 0.7 else inverse(g))
+        for e in pool + doubled:
+            assert (e.radius, e.dbound) == fold_by_unpack(e.factors)
 
 
 class TestJunctionWalk:
@@ -604,6 +656,20 @@ class TestSchreierWindow:
                         window = schreier_window(w, center, radius)
                         expected = gamma_word(w, center + radius)[center - radius :]
                         assert window.letters == expected
+
+    def test_matches_positional_letters(self, suite):
+        # Around each power q = 2^k the window starts at, ends at, or straddles
+        # position q, or stops just short of it; eventually constant omegas
+        # get their windows too.
+        for w in (*suite, parse_omega("0:1"), parse_omega("2")):
+            for radius in range(1, 65):
+                qs = [*(1 << k for k in range(_level_for(2 * radius), 22)), 3 << 20, 1 << 40, 3 << 40]
+                for q in qs:
+                    for center in (q - radius - 1, q - radius, q, q + radius - 1, q + radius):
+                        if center >= radius:
+                            window = schreier_window(w, center, radius)
+                            assert window.radius == radius
+                            assert window.letters == block_letters(w, center - radius + 1, center + radius)
 
     def test_rejects_overhang(self, omega012):
         with pytest.raises(ValueError):

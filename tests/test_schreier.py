@@ -24,7 +24,9 @@ from grigorchuk import (
 )
 from grigorchuk.group import SYMBOL_GEN
 from grigorchuk.omega import OmegaSequence
-from grigorchuk.schreier import _block_letters, _block_word, _word_graph, build_gamma_orbit_levels, gray_rank
+from grigorchuk.schreier import _block_word, _orbit_rows, _word_graph, build_gamma_orbit_levels, gray_rank
+
+from conftest import block_letters
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -108,6 +110,27 @@ def orbit_graph_by_apply(omega: OmegaSequence, vertex_count: int, with_xi: bool)
                 j = _gray_rank(image) if g == "a" else j_partner
                 if i < j < vertex_count:
                     edges.append((i, j, g))
+    return LabeledGraph.make(vertex_count, edges)
+
+
+@lru_cache(maxsize=None)
+def _orbit_row_list(omega: OmegaSequence) -> list:
+    """The first 2^11 orbit rows; a row does not depend on the vertex count."""
+    return list(_orbit_rows(omega, 1 << 11))
+
+
+def orbit_graph_by_sort(omega: OmegaSequence, vertex_count: int, with_xi: bool) -> LabeledGraph:
+    """Oracle for the order of build_gamma_orbit's stream: the same rows and
+    the same edges, kept in generator order and put in canonical order by a
+    sort."""
+    edges = []
+    for i, (j_a, j_partner, fixers) in enumerate(_orbit_row_list(omega)[:vertex_count]):
+        if (with_xi if j_partner == i else j_partner < vertex_count):
+            edges += [(i, i, g) for g in fixers]
+        if i < j_a < vertex_count:
+            edges.append((i, j_a, "a"))
+        if i < j_partner < vertex_count:
+            edges += [(i, j_partner, g) for g in "bcd" if g not in fixers]
     return LabeledGraph.make(vertex_count, edges)
 
 
@@ -383,8 +406,31 @@ class TestGammaBuilders:
 
     def test_orbit_prefix_two_vertices(self, omega012):
         g = build_gamma_orbit(omega012, 2, with_xi=True)
-        assert g.edges == ((0, 0, "b"), (0, 0, "c"), (0, 0, "d"), (0, 1, "a"))
-        assert build_gamma_orbit(omega012, 2, with_xi=False).edges == ((0, 1, "a"),)
+        assert tuple(g.edges) == ((0, 0, "b"), (0, 0, "c"), (0, 0, "d"), (0, 1, "a"))
+        assert tuple(build_gamma_orbit(omega012, 2, with_xi=False).edges) == ((0, 1, "a"),)
+
+    def test_orbit_edges_stream_in_canonical_order(self, suite):
+        # No sort: each row yields its edges (i, v >= i) ordered by (v, label),
+        # and the stream is made again on each pass, holding no edge tuple. A
+        # pass recomputes the rows, so the second one runs at powers of 2 only.
+        counts = [*range(2, 301), *(1 << k for k in range(9, 12))]
+        for w in suite:
+            for with_xi in (False, True):
+                for count in counts:
+                    g = build_gamma_orbit(w, count, with_xi)
+                    assert not isinstance(g.edges, tuple)
+                    edges = tuple(g.edges)
+                    assert edges == tuple(sorted(edges))
+                    assert edges == orbit_graph_by_sort(w, count, with_xi).edges
+                    if count & (count - 1) == 0:
+                        assert tuple(g.edges) == edges
+
+    def test_orbit_levels_stream_in_canonical_order(self, suite):
+        for w in suite:
+            for g in build_gamma_orbit_levels(w, 10):
+                assert not isinstance(g.edges, tuple)
+                edges = tuple(g.edges)
+                assert edges == tuple(sorted(edges)) == tuple(g.edges)
 
     def test_unlabeled_shape(self, omega012):
         # alternating simple edges and double-edges-with-loops along the line
@@ -456,7 +502,7 @@ class TestGammaBuilders:
 class TestBlockWord:
     @given(omegas, st.integers(min_value=0, max_value=12))
     def test_doubling_matches_positions(self, w, m):
-        assert _block_word(w, m) == _block_letters(w, 1, (1 << m) - 1)
+        assert _block_word(w, m) == block_letters(w, 1, (1 << m) - 1)
 
 
 class TestSelfSimilarity:

@@ -26,8 +26,9 @@ from grigorchuk import (
     uniform_recurrence_radius,
 )
 from grigorchuk.omega import EventuallyConstantOmegaError, OmegaSequence
-from grigorchuk.schreier import _block_letters
 from grigorchuk.subshift import ALPHABET, _junctions, _level_for, _windows
+
+from conftest import block_letters
 
 
 def scan_factors(omega, n: int) -> frozenset:
@@ -166,7 +167,7 @@ class TestGammaWord:
     @pytest.mark.parametrize("k", [0, 1, 4, 100, 101])
     def test_matches_positional_letters(self, suite, k):
         for w in suite:
-            assert gamma_word(w, k) == _block_letters(w, 1, k)
+            assert gamma_word(w, k) == block_letters(w, 1, k)
 
     def test_rejects_negative_length(self, omega012):
         with pytest.raises(ValueError):
