@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import fullgroup as fg
 from . import group, schreier, subshift
@@ -101,9 +101,9 @@ def _timed_gray4_listing() -> float:
 def check_graph_oracle(omegas, caps: Caps, seed: int) -> tuple[bool, str]:
     bad: list[str] = []
     for omega in omegas:
-        orbit = schreier.build_gamma_orbit_levels(omega, caps.graph_level)
-        for n, orb in enumerate(orbit, 1):
-            if schreier.build_gamma_recursive(omega, n) != orb:
+        for n in range(1, caps.graph_level + 1):
+            orbit = schreier.build_gamma_orbit(omega, 2 << n, with_xi=False)
+            if schreier.build_gamma_recursive(omega, n) != orbit:
                 bad.append(f"{omega.spec()}@n={n}")
     return not bad, (
         f"recursive == orbit for n<={caps.graph_level} on {len(omegas)} omegas"

@@ -4,14 +4,14 @@ from rho."""
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from functools import lru_cache, partial
-from itertools import islice, starmap, zip_longest
+from functools import lru_cache
+from itertools import starmap, zip_longest
 from operator import eq
 from typing import NamedTuple
 
-from .group import _DROP01, SYMBOL_GEN, _flip, _partner
+from .group import _DROP01, SYMBOL_GEN
 from .omega import OmegaSequence
 
 Edge = tuple[int, int, str]
@@ -21,18 +21,13 @@ Edge = tuple[int, int, str]
 class LabeledGraph:
     """Undirected edge-labeled multigraph with vertices 0..n-1 numbered left to
     right along the half-line. `edges` is re-iterable in canonical sorted
-    order: a tuple for a graph made from its edges, else a stream that holds no
-    edge and is made again on each pass, from the block word letter by letter
-    or from the orbit row by row. Equality is exact equality of n and of the
-    whole edge sequence, whichever way either side stores its edges."""
+    order: a stream that holds no edge and is made again on each pass, from
+    the block word letter by letter or from the orbit row by row. Equality is
+    exact equality of n and of the whole edge sequence, whichever way either
+    side stores its edges."""
 
     n: int
     edges: Iterable[Edge]
-
-    @staticmethod
-    def make(n: int, edges) -> "LabeledGraph":
-        canon = tuple(sorted((min(u, v), max(u, v), lab) for u, v, lab in edges))
-        return LabeledGraph(n, canon)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LabeledGraph):
@@ -145,30 +140,42 @@ def _orbit_rows(omega: OmegaSequence, vertex_count: int) -> Iterator[tuple[int, 
     """One row per orbit point in Gray order: the rank of its a-image, the rank
     of its partner (its image under the b/c/d letters that move it; rho, which
     none moves, is its own) and the letters that fix it. A row does not depend
-    on the count."""
+    on the count, and is read off the index i with no string:
+
+    Ray i has the Gray code g = i ^ (i >> 1), and its digit k + 1 is bit k of g
+    with 0 and 1 exchanged (see `ray_at`), so its first 0 is at the 1-based
+    position j = (g & -g).bit_length(). `a` flips digit 1, code bit 0, and the
+    Gray decode then flips rank bit 0 alone: the a-image has rank i ^ 1. b, c
+    and d flip digit j + 1, code bit j, and the decode flips rank bits 0..j:
+    the partner has rank i ^ ((2 << j) - 1). The one of them that does not
+    flip it, SYMBOL_GEN[omega(j)], fixes the ray. rho (g = 0) has no 0, so
+    b, c and d all fix it."""
     for i in range(vertex_count):
-        v = ray_at(i).prefix + "1"  # the ray as a vertex: exact for one step
-        fixers, partner = _partner(v, omega)
-        yield _gray_rank(_flip(v[0]) + v[1:]), _gray_rank(partner), fixers
+        g = i ^ (i >> 1)
+        if not g:
+            yield 1, 0, "bcd"
+            continue
+        j = (g & -g).bit_length()
+        yield i ^ 1, i ^ ((2 << j) - 1), SYMBOL_GEN[omega.at(j)]
 
 
 @dataclass(frozen=True)
 class _OrbitEdges:
-    """The edges among the first `count` rows, one (gamma, s gamma) per
-    generator and none leaving the range, made again on each pass over
-    `rows()`. Row i gives the edges (i, v >= i): its loops, then its a-edge and
+    """The edges among the first `count` orbit points, one (gamma, s gamma) per
+    generator and none leaving the range, made again with their rows on each
+    pass. Row i gives the edges (i, v >= i): its loops, then its a-edge and
     partner edges ordered by v, so the stream is in canonical order, unsorted.
     A loop belongs to the double-edge block joining a point to its partner,
     and is cut with it when the partner is out of range; the three loops at
     rho, its own partner, are kept only when with_xi."""
 
-    rows: Callable[[], Iterable[tuple]]
+    omega: OmegaSequence
     count: int
     with_xi: bool
 
     def __iter__(self) -> Iterator[Edge]:
         count = self.count
-        for i, (j_a, j_p, fixers) in enumerate(islice(self.rows(), count)):
+        for i, (j_a, j_p, fixers) in enumerate(_orbit_rows(self.omega, count)):
             if (self.with_xi if j_p == i else j_p < count):
                 yield from ((i, i, g) for g in fixers)
             a = ((i, j_a, "a"),) if i < j_a < count else ()
@@ -181,16 +188,7 @@ def build_gamma_orbit(omega: OmegaSequence, vertex_count: int, with_xi: bool) ->
     their edges (see `_OrbitEdges`) stream from rows computed again on each pass."""
     if vertex_count < 2:
         raise ValueError("vertex_count must be >= 2")
-    rows = partial(_orbit_rows, omega, vertex_count)
-    return LabeledGraph(vertex_count, _OrbitEdges(rows, vertex_count, with_xi))
-
-
-def build_gamma_orbit_levels(omega: OmegaSequence, top_level: int) -> list[LabeledGraph]:
-    """build_gamma_orbit(omega, 2^(n+1), False) for n = 1..top_level, all cut
-    from the rows of the top level, as a row does not depend on the count."""
-    rows = list(_orbit_rows(omega, 2 << top_level))
-    counts = [2 << n for n in range(1, top_level + 1)]
-    return [LabeledGraph(count, _OrbitEdges(rows.__iter__, count, False)) for count in counts]
+    return LabeledGraph(vertex_count, _OrbitEdges(omega, vertex_count, with_xi))
 
 
 def export_dot(g: LabeledGraph) -> Iterator[str]:

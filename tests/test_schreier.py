@@ -22,9 +22,9 @@ from grigorchuk import (
     ray_at,
     ruler_a,
 )
-from grigorchuk.group import SYMBOL_GEN
+from grigorchuk.group import SYMBOL_GEN, _flip, _partner
 from grigorchuk.omega import OmegaSequence
-from grigorchuk.schreier import _block_word, _orbit_rows, _word_graph, build_gamma_orbit_levels, gray_rank
+from grigorchuk.schreier import _block_word, _orbit_rows, _word_graph, gray_rank
 
 from conftest import block_letters
 
@@ -46,16 +46,21 @@ class Block(Enum):
 LAMBDA_BLOCKS = {0: Block.L0, 1: Block.L1, 2: Block.L2}
 
 
+def make_graph(n: int, edges) -> LabeledGraph:
+    """The graph with these edges, each written (min, max, label), sorted."""
+    return LabeledGraph(n, tuple(sorted((min(u, v), max(u, v), lab) for u, v, lab in edges)))
+
+
 def block_graph(block: Block) -> LabeledGraph:
     """The picture of one block: Theta is a single a-edge, Xi the three loops
     at rho, Lambda_s a double edge with a SYMBOL_GEN[s] loop at both ends."""
     if block is Block.THETA:
-        return LabeledGraph.make(2, [(0, 1, "a")])
+        return make_graph(2, [(0, 1, "a")])
     if block is Block.XI:
-        return LabeledGraph.make(1, [(0, 0, g) for g in "bcd"])
+        return make_graph(1, [(0, 0, g) for g in "bcd"])
     loop = SYMBOL_GEN[int(block.value)]
     double = sorted(set("bcd") - {loop})
-    return LabeledGraph.make(
+    return make_graph(
         2,
         [(0, 1, double[0]), (0, 1, double[1]), (0, 0, loop), (1, 1, loop)],
     )
@@ -110,13 +115,16 @@ def orbit_graph_by_apply(omega: OmegaSequence, vertex_count: int, with_xi: bool)
                 j = _gray_rank(image) if g == "a" else j_partner
                 if i < j < vertex_count:
                     edges.append((i, j, g))
-    return LabeledGraph.make(vertex_count, edges)
+    return make_graph(vertex_count, edges)
 
 
-@lru_cache(maxsize=None)
-def _orbit_row_list(omega: OmegaSequence) -> list:
-    """The first 2^11 orbit rows; a row does not depend on the vertex count."""
-    return list(_orbit_rows(omega, 1 << 11))
+def rows_by_action(omega: OmegaSequence, vertex_count: int):
+    """Oracle for _orbit_rows: each ray as the vertex prefix + "1", its
+    partner from one b/c/d step, and both images ranked from their strings."""
+    for i in range(vertex_count):
+        v = ray_at(i).prefix + "1"  # the ray as a vertex: exact for one step
+        fixers, partner = _partner(v, omega)
+        yield _gray_rank(_flip(v[0]) + v[1:]), _gray_rank(partner), fixers
 
 
 def orbit_graph_by_sort(omega: OmegaSequence, vertex_count: int, with_xi: bool) -> LabeledGraph:
@@ -124,19 +132,19 @@ def orbit_graph_by_sort(omega: OmegaSequence, vertex_count: int, with_xi: bool) 
     the same edges, kept in generator order and put in canonical order by a
     sort."""
     edges = []
-    for i, (j_a, j_partner, fixers) in enumerate(_orbit_row_list(omega)[:vertex_count]):
+    for i, (j_a, j_partner, fixers) in enumerate(_orbit_rows(omega, vertex_count)):
         if (with_xi if j_partner == i else j_partner < vertex_count):
             edges += [(i, i, g) for g in fixers]
         if i < j_a < vertex_count:
             edges.append((i, j_a, "a"))
         if i < j_partner < vertex_count:
             edges += [(i, j_partner, g) for g in "bcd" if g not in fixers]
-    return LabeledGraph.make(vertex_count, edges)
+    return make_graph(vertex_count, edges)
 
 
 def _reverse(g: LabeledGraph) -> LabeledGraph:
     relabel = lambda v: g.n - 1 - v
-    return LabeledGraph.make(g.n, [(relabel(u), relabel(v), lab) for u, v, lab in g.edges])
+    return make_graph(g.n, [(relabel(u), relabel(v), lab) for u, v, lab in g.edges])
 
 
 def self_similarity_check(omega: OmegaSequence, n: int, m: int) -> bool:
@@ -164,7 +172,7 @@ def parse_dot(text: str) -> LabeledGraph:
         (int(u), int(v), lab)
         for u, v, lab in re.findall(r'(\d+) -- (\d+) \[label="([abcd])"\];', text)
     ]
-    return LabeledGraph.make(n, edges)
+    return make_graph(n, edges)
 
 
 class TestBlocks:
@@ -220,7 +228,7 @@ class TestGlue:
         g1, g2 = block_graph(left), block_graph(right)
         g = glue(g1, g2)
         combined = list(g1.edges) + [(u + 1, v + 1, lab) for u, v, lab in g2.edges]
-        assert g == LabeledGraph.make(3, combined)
+        assert g == make_graph(3, combined)
         assert sum(u == v == 1 for u, v, _ in g.edges) == 2
 
 
@@ -379,13 +387,9 @@ class TestGammaBuilders:
                 for count in range(2, 301):
                     assert build_gamma_orbit(w, count, with_xi) == orbit_graph_by_apply(w, count, with_xi)
 
-    def test_orbit_levels_match_one_level_builds(self, suite):
-        # Every level is read from the top level's rows, cut at its own count.
-        for w in suite:
-            levels = build_gamma_orbit_levels(w, 8)
-            assert [g.n for g in levels] == [2 ** (n + 1) for n in range(1, 9)]
-            for n, g in enumerate(levels, 1):
-                assert g == build_gamma_orbit(w, 2 ** (n + 1), with_xi=False)
+    def test_orbit_rows_match_action(self, suite):
+        for w in [*suite, *map(parse_omega, ("0:1", "2", "1:02"))]:
+            assert list(_orbit_rows(w, 2**14)) == list(rows_by_action(w, 2**14))
 
     def test_orbit_cuts_whole_blocks(self, suite):
         # Cutting the half-line after `count` vertices keeps an edge inside the
@@ -401,8 +405,8 @@ class TestGammaBuilders:
                     if (v < count if u != v else u < count and (u % 2 == 0 or u + 1 < count))
                 ]
                 cut = build_gamma_orbit(w, count, False)
-                assert cut == LabeledGraph.make(count, kept)
-                assert build_gamma_orbit(w, count, True) == LabeledGraph.make(count, kept + xi)
+                assert cut == make_graph(count, kept)
+                assert build_gamma_orbit(w, count, True) == make_graph(count, kept + xi)
 
     def test_orbit_prefix_two_vertices(self, omega012):
         g = build_gamma_orbit(omega012, 2, with_xi=True)
@@ -411,8 +415,7 @@ class TestGammaBuilders:
 
     def test_orbit_edges_stream_in_canonical_order(self, suite):
         # No sort: each row yields its edges (i, v >= i) ordered by (v, label),
-        # and the stream is made again on each pass, holding no edge tuple. A
-        # pass recomputes the rows, so the second one runs at powers of 2 only.
+        # and the stream is made again on each pass, holding no edge tuple.
         counts = [*range(2, 301), *(1 << k for k in range(9, 12))]
         for w in suite:
             for with_xi in (False, True):
@@ -422,15 +425,7 @@ class TestGammaBuilders:
                     edges = tuple(g.edges)
                     assert edges == tuple(sorted(edges))
                     assert edges == orbit_graph_by_sort(w, count, with_xi).edges
-                    if count & (count - 1) == 0:
-                        assert tuple(g.edges) == edges
-
-    def test_orbit_levels_stream_in_canonical_order(self, suite):
-        for w in suite:
-            for g in build_gamma_orbit_levels(w, 10):
-                assert not isinstance(g.edges, tuple)
-                edges = tuple(g.edges)
-                assert edges == tuple(sorted(edges)) == tuple(g.edges)
+                    assert tuple(g.edges) == edges
 
     def test_unlabeled_shape(self, omega012):
         # alternating simple edges and double-edges-with-loops along the line
@@ -606,8 +601,8 @@ class TestRepresentations:
 
     def test_equal_to_made_graph(self, pair):
         g, edges = pair
-        assert tuple(edges) == LabeledGraph.make(g.n, edges).edges  # already canonical
-        self.assert_equal(g, LabeledGraph.make(g.n, edges))
+        assert tuple(edges) == make_graph(g.n, edges).edges  # already canonical
+        self.assert_equal(g, make_graph(g.n, edges))
         self.assert_equal(g, _word_graph(g.edges.word))
 
     def test_trailing_edge_dropped(self, pair):
@@ -623,7 +618,7 @@ class TestRepresentations:
         g, edges = pair
         u, v, lab = edges[5]
         changed = edges[:5] + [(u, v, "a" if lab != "a" else "b")] + edges[6:]
-        self.assert_unequal(g, LabeledGraph.make(g.n, changed))
+        self.assert_unequal(g, make_graph(g.n, changed))
 
     def test_other_vertex_count(self, pair):
         g, edges = pair
