@@ -8,7 +8,6 @@ from .group import (
     apply_word,
     ball_sizes,
     element_order,
-    fixing_generator,
     is_trivial,
     normalize_word,
     root_and_sections,
@@ -33,7 +32,6 @@ from .subshift import (
     uniform_recurrence_radius,
 )
 from .fullgroup import (
-    Cylinder,
     FullGroupElement,
     Window,
     commutator_identity_check,

@@ -261,10 +261,10 @@ def check_commutator(omegas, caps: Caps, seed: int) -> tuple[bool, str]:
 
 def check_degenerate_witnesses(omegas, caps: Caps, seed: int) -> tuple[bool, str]:
     omega = parse_omega("012")
-    cyl = fg.find_disjoint_cylinder(omega, 3)
-    s01 = fg.swap_involution(cyl, 0, 1, omega)
-    s12 = fg.swap_involution(cyl, 1, 2, omega)
-    s02 = fg.swap_involution(cyl, 0, 2, omega)
+    u = fg.find_disjoint_cylinder(omega, 3)
+    s01 = fg.swap_involution(u, 0, 1, omega)
+    s12 = fg.swap_involution(u, 1, 2, omega)
+    s02 = fg.swap_involution(u, 0, 2, omega)
     prod = fg.compose(s01, s12)
     relations = {
         "sigma01^2": fg.is_identity(fg.compose(s01, s01)),
@@ -275,7 +275,7 @@ def check_degenerate_witnesses(omegas, caps: Caps, seed: int) -> tuple[bool, str
     }
     r = [
         fg.compose(fg.shift_power(i, omega), fg.compose(
-            fg.first_return_element(cyl, omega), fg.shift_power(-i, omega)))
+            fg.first_return_element(u, omega), fg.shift_power(-i, omega)))
         for i in range(3)
     ]
     commute = all(
@@ -286,7 +286,7 @@ def check_degenerate_witnesses(omegas, caps: Caps, seed: int) -> tuple[bool, str
     unbounded = fg.element_order_fg(r[0], caps.return_order_bound) is None
     bad = [name for name, ok in relations.items() if not ok]
     return not bad and commute and unbounded, (
-        f"S3 relations on sigma involutions over cylinder {cyl.word!r}"
+        f"S3 relations on sigma involutions over cylinder {u!r}"
         + (f" (failed: {bad})" if bad else "")
         + f"; r0,r1,r2 commute ({commute}); r0 order > {caps.return_order_bound} ({unbounded})"
     )

@@ -121,10 +121,8 @@ def cmd_orbit(args) -> tuple[int, Iterable[str]]:
 
     def rows() -> Iterator[str]:
         yield f"omega={omega.spec()} count={args.count}\nindex\tprefix\tfixing\n"
-        for i in range(args.count):
-            prefix = schreier.ray_at(i).prefix
-            fixing = group.fixing_generator(prefix, omega) if prefix else "-"
-            yield f"{i}\t{prefix or 'rho'}\t{fixing}\n"
+        for i, (_, _, fixers) in enumerate(schreier._orbit_rows(omega, args.count)):
+            yield f"{i}\t{schreier.ray_at(i).prefix or 'rho'}\t{fixers if i else '-'}\n"
 
     return EXIT_OK, rows()
 
@@ -228,7 +226,10 @@ def cmd_verify(args) -> tuple[int, Iterable[str]]:
 def cmd_export(args) -> tuple[int, Iterable[str]]:
     omega = parse_omega(args.omega)
     lo, _, hi = args.levels.partition(":")
-    start, stop = int(lo), int(hi or lo)
+    try:
+        start, stop = int(lo), int(hi or lo)
+    except ValueError:  # "a", ":3" or "1:2:3": no range, reported below
+        start = stop = 0
     if not 1 <= start <= stop:
         raise ValueError(f"level range must satisfy 1 <= lo <= hi, got {args.levels!r}")
     outdir = Path(args.outdir)

@@ -48,15 +48,6 @@ class Window:
             raise ValueError("window must carry exactly 2*radius letters")
 
 
-@dataclass(frozen=True)
-class Cylinder:
-    """The clopen set of points carrying `word` at positions offset..offset+len-1.
-    The empty word denotes the whole space."""
-
-    word: str
-    offset: int
-
-
 class FullGroupElement:
     """A flat cocycle program: primitive factors in the order they act.
 
@@ -70,7 +61,7 @@ class FullGroupElement:
 
     __slots__ = ("omega", "tag", "factors", "radius", "dbound", "label")
 
-    def __init__(self, omega, tag, factors, label="?"):
+    def __init__(self, omega, tag, factors, label):
         self.omega = omega
         self.tag = tag
         self.factors = tuple(factors)
@@ -127,18 +118,18 @@ def _step(f: tuple, letters: str, center: int) -> int:
     if kind == "tau":
         return 1 if letters[center] == MARKER else -1
     if kind == "sigma":
-        _, _, _, u, ofs, i, j = f
-        if letters.startswith(u, center + ofs - i):
+        _, _, _, u, i, j = f
+        if letters.startswith(u, center - i):
             return j - i
-        if letters.startswith(u, center + ofs - j):
+        if letters.startswith(u, center - j):
             return i - j
         return 0
     if kind == "ret":
-        _, _, bound, u, ofs, sign = f
-        if not letters.startswith(u, center + ofs):
+        _, _, bound, u, sign = f
+        if not letters.startswith(u, center):
             return 0
         for k in range(1, bound + 1):
-            if letters.startswith(u, center + ofs + sign * k):
+            if letters.startswith(u, center + sign * k):
                 return sign * k
         raise RuntimeError(
             f"no return of {u!r} within bound {bound}; widen the recurrence bound"
@@ -319,50 +310,50 @@ def _joint_occurrence(u: str, k: int, omega: OmegaSequence) -> bool:
     return False
 
 
-def find_disjoint_cylinder(omega: OmegaSequence, n: int) -> Cylinder:
-    """A cylinder whose first n shifts are pairwise disjoint, by scanning the
-    language for a word with no admissible self-overlap at shifts 1..n-1."""
+def find_disjoint_cylinder(omega: OmegaSequence, n: int) -> str:
+    """A word u whose cylinder [u], the points carrying u from the marked
+    vertex on, has its first n shifts pairwise disjoint: the first word of the
+    sorted language with no admissible self-overlap at shifts 1..n-1."""
     if n < 2:
         raise ValueError("need n >= 2")
     for length in range(1, _CYLINDER_MAX_LEN + 1):
         for u in sorted(language(omega, length)):
             if all(not _joint_occurrence(u, k, omega) for k in range(1, n)):
-                return Cylinder(u, 0)
+                return u
     raise RuntimeError(f"no disjoint cylinder for n={n} up to word length {_CYLINDER_MAX_LEN}")
 
 
-def _check_cylinder(cyl: Cylinder, omega: OmegaSequence) -> None:
-    if cyl.word and not is_admissible(cyl.word, omega):
-        raise ValueError(f"cylinder word {cyl.word!r} is not admissible")
+def _check_cylinder(u: str, omega: OmegaSequence) -> None:
+    if u and not is_admissible(u, omega):
+        raise ValueError(f"cylinder word {u!r} is not admissible")
 
 
-def swap_involution(cyl: Cylinder, i: int, j: int, omega: OmegaSequence) -> FullGroupElement:
-    """The involution exchanging shift^i(U) and shift^j(U), identity elsewhere.
-    Requires those two sets to be disjoint."""
+def swap_involution(u: str, i: int, j: int, omega: OmegaSequence) -> FullGroupElement:
+    """The involution exchanging shift^i[u] and shift^j[u], identity elsewhere.
+    Requires those two sets to be disjoint. Over a shifted cylinder, the
+    element is the conjugate by `shift_power`."""
     if not 0 <= i < j:
         raise ValueError("need 0 <= i < j")
-    _check_cylinder(cyl, omega)
-    if not cyl.word:
+    _check_cylinder(u, omega)
+    if not u:
         raise ValueError("the full space gives no disjoint shifts")
-    if _joint_occurrence(cyl.word, j - i, omega):
+    if _joint_occurrence(u, j - i, omega):
         raise ValueError(f"shifts {i} and {j} of the cylinder intersect")
-    u, ofs = cyl.word, cyl.offset
-    factor = ("sigma", max(1, j - ofs, ofs - i + len(u)), j - i, u, ofs, i, j)
-    return FullGroupElement(omega, "A", (factor,), label=f"sigma[{i},{j};{u}@{ofs}]")
+    factor = ("sigma", max(1, j, len(u) - i), j - i, u, i, j)
+    return FullGroupElement(omega, "A", (factor,), label=f"sigma[{i},{j};{u}]")
 
 
-def first_return_element(cyl: Cylinder, omega: OmegaSequence) -> FullGroupElement:
-    """First-return map of the cylinder, extended by the identity outside it.
-    Return times are bounded through the uniform recurrence radius; exceeding
-    the bound raises instead of truncating."""
-    _check_cylinder(cyl, omega)
-    u, ofs = cyl.word, cyl.offset
+def first_return_element(u: str, omega: OmegaSequence) -> FullGroupElement:
+    """First-return map of the cylinder [u] (the empty word: the whole space),
+    extended by the identity outside it. Return times are bounded through the
+    uniform recurrence radius; exceeding the bound raises instead of truncating."""
+    _check_cylinder(u, omega)
     if not u:
         bound = 1  # every point of the full space returns immediately
     else:
         bound = uniform_recurrence_radius(omega, len(u)) - len(u) + 1
-    factor = ("ret", max(1, abs(ofs) + len(u) + bound), bound, u, ofs, 1)
-    return FullGroupElement(omega, "A", (factor,), label=f"ret[{u}@{ofs}]")
+    factor = ("ret", max(1, len(u) + bound), bound, u, 1)
+    return FullGroupElement(omega, "A", (factor,), label=f"ret[{u}]")
 
 
 def tau(omega: OmegaSequence) -> FullGroupElement:

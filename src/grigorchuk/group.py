@@ -67,15 +67,6 @@ def _section_tables(first: int) -> tuple[dict[int, str | None], dict[int, str | 
 _SECTION_TABLES = {k: _section_tables(k) for k in SYMBOL_GEN}
 
 
-def fixing_generator(prefix: str, omega: OmegaSequence) -> str:
-    """The unique letter among b, c, d that fixes the ray with this prefix
-    (undefined for rho): the ray acts as the vertex prefix + "1"."""
-    fixers, _ = _partner(prefix + "1", omega)
-    if len(fixers) > 1:
-        raise ValueError("rho is fixed by all of b, c, d")
-    return fixers
-
-
 def _flip(bit: str) -> str:
     return "1" if bit == "0" else "0"
 

@@ -49,10 +49,6 @@ def gray_rank(bits: str) -> int:
     ray prefix is the ray's index in the orbit ("" for rho has index 0)."""
     if bits.translate(_DROP01):  # int() would also accept "_" and whitespace
         raise ValueError(f"need a binary string, got {bits!r}")
-    return _gray_rank(bits)
-
-
-def _gray_rank(bits: str) -> int:
     rank = int(bits[::-1].translate(_SWAP01) or "0", 2)
     shift, width = 1, rank.bit_length()
     while shift < width:
@@ -149,14 +145,15 @@ def _orbit_rows(omega: OmegaSequence, vertex_count: int) -> Iterator[tuple[int, 
     and d flip digit j + 1, code bit j, and the decode flips rank bits 0..j:
     the partner has rank i ^ ((2 << j) - 1). The one of them that does not
     flip it, SYMBOL_GEN[omega(j)], fixes the ray. rho (g = 0) has no 0, so
-    b, c and d all fix it."""
+    b, c and d all fix it. Every j is at most the bit length of the count."""
+    fixer = [SYMBOL_GEN[omega.at(j)] for j in range(1, vertex_count.bit_length() + 1)]
     for i in range(vertex_count):
         g = i ^ (i >> 1)
         if not g:
             yield 1, 0, "bcd"
             continue
         j = (g & -g).bit_length()
-        yield i ^ 1, i ^ ((2 << j) - 1), SYMBOL_GEN[omega.at(j)]
+        yield i ^ 1, i ^ ((2 << j) - 1), fixer[j - 1]
 
 
 @dataclass(frozen=True)

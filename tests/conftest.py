@@ -4,6 +4,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from grigorchuk import OmegaSequence, parse_omega, ruler_a
+from grigorchuk.group import _partner
 
 settings.register_profile(
     "det",
@@ -47,3 +48,11 @@ def block_letters(omega: OmegaSequence, first: int, last: int) -> str:
     return "".join(
         ["T" if p % 2 else str(omega.at(ruler_a(p // 2))) for p in range(first, last + 1)]
     )
+
+
+def fixing_generator(prefix: str, omega: OmegaSequence) -> str:
+    """Oracle for the fixing column of the orbit listing: the letters among
+    b, c, d that fix the ray with this canonical prefix, one for every ray but
+    rho, read off the string path of the action: the ray acts as the vertex
+    prefix + "1"."""
+    return _partner(prefix + "1", omega)[0]

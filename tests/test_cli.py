@@ -9,6 +9,8 @@ import pytest
 from grigorchuk import battery, parse_omega, schreier, subshift
 from grigorchuk.cli import _graph_json, main
 
+from conftest import SUITE_SPECS, fixing_generator
+
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -167,6 +169,19 @@ class TestBallOrbitEmbedDouble:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("spec", [*SUITE_SPECS, "0:1", "2", "1:02"])
+    def test_orbit_matches_ray_and_fixer_oracle(self, capsys, spec):
+        # the fixers come from the Gray rows; the oracle reads them off the ray string
+        omega = parse_omega(spec)
+        code, out, _ = run(capsys, "orbit", "--omega", spec, "--count", "16384")
+        expected = [f"omega={omega.spec()} count=16384", "index\tprefix\tfixing"]
+        for i in range(16384):
+            prefix = schreier.ray_at(i).prefix
+            fixing = fixing_generator(prefix, omega) if prefix else "-"
+            expected.append(f"{i}\t{prefix or 'rho'}\t{fixing}")
+        assert code == 0
+        assert out.splitlines() == expected
+
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_orbit_count_below_one_exits_2(self, capsys, count):
         code, out, err = run(capsys, "orbit", "--omega", "012", "--count", count)
@@ -282,6 +297,15 @@ class TestExport:
         code, _, err = run(capsys, "export", "--omega", "012", "--levels", "3:1",
                            "--outdir", str(outdir))
         assert code == 2 and "level range" in err
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("levels", ["1:2:3", ":3", "a"])
+    def test_malformed_range_exits_2(self, capsys, tmp_path, levels):
+        outdir = tmp_path / "out"
+        code, out, err = run(capsys, "export", "--omega", "012", "--levels", levels,
+                             "--outdir", str(outdir))
+        assert code == 2 and out == ""
+        assert err == f"error: level range must satisfy 1 <= lo <= hi, got {levels!r}\n"
         assert not outdir.exists()
 
     def test_outdir_on_a_file_exits_2(self, capsys, tmp_path):

@@ -1,6 +1,7 @@
 """Full-group element tests: cocycle laws, the embedding, degenerate-case
 witnesses, and the doubled system."""
 
+import hashlib
 import random
 import tracemalloc
 from math import lcm
@@ -9,7 +10,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from grigorchuk import (
-    Cylinder,
     Window,
     apply_generator,
     apply_word,
@@ -236,16 +236,16 @@ class TestEmbedding:
             e = embed_word(word, omega012)
             assert element_order_fg(e, 64) == order_by_powers(e, 64) == order
             assert element_order_fg(e, order - 1) is None
-        cyl = find_disjoint_cylinder(omega012, 3)
-        s01, s12 = swap_involution(cyl, 0, 1, omega012), swap_involution(cyl, 1, 2, omega012)
+        u = find_disjoint_cylinder(omega012, 3)
+        s01, s12 = swap_involution(u, 0, 1, omega012), swap_involution(u, 1, 2, omega012)
         assert element_order_fg(compose(s01, s12), 6) == order_by_powers(compose(s01, s12), 6) == 3
-        r0 = first_return_element(cyl, omega012)
+        r0 = first_return_element(u, omega012)
         assert element_order_fg(r0, 64) is None and order_by_powers(r0, 64) is None
 
     def test_order_is_lcm_of_return_times(self, omega012):
         # a 3-cycle and a disjoint transposition: points return after 1, 2 or 3 steps
-        cyl = find_disjoint_cylinder(omega012, 5)
-        s = {(i, j): swap_involution(cyl, i, j, omega012) for i, j in ((0, 1), (1, 2), (3, 4))}
+        u = find_disjoint_cylinder(omega012, 5)
+        s = {(i, j): swap_involution(u, i, j, omega012) for i, j in ((0, 1), (1, 2), (3, 4))}
         e = compose(compose(s[0, 1], s[1, 2]), s[3, 4])
         assert element_order_fg(e, 12) == order_by_powers(e, 12) == 6
         assert element_order_fg(e, 5) is None
@@ -282,13 +282,13 @@ class TestElementConstructor:
 
     def test_radius_and_bound_of_mixed_programs(self, omega012):
         rng = random.Random(14)
-        cyl = find_disjoint_cylinder(omega012, 3)
+        u = find_disjoint_cylinder(omega012, 3)
         pool = [
             embed_word("abcada", omega012),
             shift_power(3, omega012),
             shift_power(-5, omega012),
-            swap_involution(cyl, 0, 2, omega012),
-            first_return_element(cyl, omega012),
+            swap_involution(u, 0, 2, omega012),
+            first_return_element(u, omega012),
         ]
         for _ in range(40):
             g, h = rng.choice(pool), rng.choice(pool)
@@ -322,14 +322,14 @@ class TestJunctionWalk:
 
     def test_sigma_and_return_elements(self, suite):
         for w in suite:
-            cyl = find_disjoint_cylinder(w, 3)
-            s01, s12 = swap_involution(cyl, 0, 1, w), swap_involution(cyl, 1, 2, w)
-            r0 = first_return_element(cyl, w)
+            u = find_disjoint_cylinder(w, 3)
+            s01, s12 = swap_involution(u, 0, 1, w), swap_involution(u, 1, 2, w)
+            r0 = first_return_element(u, w)
             r1 = compose(shift_power(1, w), compose(r0, shift_power(-1, w)))
             self._assert_matches((
-                s01, s12, swap_involution(cyl, 0, 2, w), compose(s01, s12),
+                s01, s12, swap_involution(u, 0, 2, w), compose(s01, s12),
                 r0, r1, compose(r0, r1), compose(s01, compose(r0, s01)),
-                first_return_element(Cylinder("", 0), w),
+                first_return_element("", w),
             ))
 
     def test_doubled_elements(self, suite):
@@ -463,23 +463,65 @@ class TestSchreierConsistency:
 class TestCylinders:
     def test_disjoint_cylinder_small(self, omega012):
         for n in (2, 3, 4):
-            cyl = find_disjoint_cylinder(omega012, n)
+            u = find_disjoint_cylinder(omega012, n)
             from grigorchuk.fullgroup import _joint_occurrence
 
             for k in range(1, n):
-                assert not _joint_occurrence(cyl.word, k, omega012)
+                assert not _joint_occurrence(u, k, omega012)
 
     def test_suite_n4(self, suite):
         for w in suite:
-            assert find_disjoint_cylinder(w, 4).word
+            assert find_disjoint_cylinder(w, 4)
+
+    # (radius, displacement bound, sha256 of the cocycle table over the sorted
+    # language of length 2 * radius), pinned when cylinders still carried an offset
+    PINNED = {
+        ("012", "s01"): (1, 1, "a3d7850af91f41aa92a796c528d8e83dac163efdeb354ac3a6929da80c39adae"),
+        ("012", "s12"): (2, 1, "571de26755a21ffb96eddef651bf84b7505e032bbdc051a37fe68507295a9798"),
+        ("012", "s02"): (2, 2, "532ee4263c2348f050b713637046aeb601d9bb6bc71feaf3789364255bc191c1"),
+        ("012", "r0"): (17, 16, "c55078cfed0c65faac31aa105bd1c6a0127bfcccdba144da25898aa52fc4b578"),
+        ("01", "s01"): (1, 1, "239aeeb81f847384511612105128b8028525ef9725c8470f3833ebe8c246714c"),
+        ("01", "s12"): (2, 1, "7e96b437c86b2a5e49125666ae13cb715a13dbb2577b6dfcb294c65560d14fb4"),
+        ("01", "s02"): (2, 2, "cbb8bc0d72ee31b4cab2dbfb54adcf89a02ae077e4182ffa41d4563077d4314b"),
+        ("01", "r0"): (9, 8, "055632e943426d0ea737a47b467d955094a61f333de7df940be6af70f54c9f42"),
+        ("02", "s01"): (1, 1, "e8fb42e575a2a0045e45382ae5d79b20e990cc338a8efa7de96e28163f2b0c4e"),
+        ("02", "s12"): (2, 1, "03311de952a8d177740d05be02be3e0fa8925ef0cb097df211c509e4531b142b"),
+        ("02", "s02"): (2, 2, "6803f4404a9a198eea03393d7e764d388ca058ac1fb59e57b1c87ff3355ab6bc"),
+        ("02", "r0"): (9, 8, "3094b29d45928157c2dc0991b6036efd8a7b492d2f434681247fad09c7572557"),
+        ("2:01", "s01"): (1, 1, "5222871d902145d0ea39232b11390b8a85014558721bc0d00b022e46ae663174"),
+        ("2:01", "s12"): (2, 1, "85fc37bc0aa43eb562934ebb567f974ef52d3985bc412b2c895e09ec302f4250"),
+        ("2:01", "s02"): (2, 2, "fa5a3fe316368d749765cbeabfbedf1f9ba848764438f5cb06ee3290212686b1"),
+        ("2:01", "r0"): (17, 16, "fc141e799a029863bab12f72e744051cf9ca944ab62603178db7bf74c9c68390"),
+        ("10:012", "s01"): (1, 1, "5222871d902145d0ea39232b11390b8a85014558721bc0d00b022e46ae663174"),
+        ("10:012", "s12"): (2, 1, "0928a89f93f237b8e47c085f8ddec4f8b7bce27fe579ce66d0a8cd224fe6ec60"),
+        ("10:012", "s02"): (2, 2, "9d3a3a8db742017f3b81f1aebfc7c5dc98cef1513176b2815385102468637125"),
+        ("10:012", "r0"): (65, 64, "61bb136af0b50faf5dc1b6ff384b0c53087cb8e388d49a07548d28aa8902f162"),
+    }
+
+    def test_elements_over_the_word_pinned(self, suite):
+        for w in suite:
+            u = find_disjoint_cylinder(w, 3)
+            elements = {
+                "s01": swap_involution(u, 0, 1, w),
+                "s12": swap_involution(u, 1, 2, w),
+                "s02": swap_involution(u, 0, 2, w),
+                "r0": first_return_element(u, w),
+            }
+            for name, e in elements.items():
+                table = "".join(
+                    f"{x} {e.cocycle(Window(e.radius, x)):+d}\n"
+                    for x in sorted(language(w, 2 * e.radius))
+                )
+                digest = hashlib.sha256(table.encode()).hexdigest()
+                assert (e.radius, e.dbound, digest) == self.PINNED[w.spec(), name], name
 
 
 class TestSwapInvolutions:
     @pytest.fixture()
     def setup(self, omega012):
-        cyl = find_disjoint_cylinder(omega012, 3)
-        return cyl, {
-            (i, j): swap_involution(cyl, i, j, omega012)
+        u = find_disjoint_cylinder(omega012, 3)
+        return u, {
+            (i, j): swap_involution(u, i, j, omega012)
             for i, j in ((0, 1), (1, 2), (0, 2))
         }
 
@@ -499,12 +541,12 @@ class TestSwapInvolutions:
         assert element_order_fg(compose(s[0, 1], s[1, 2]), 6) == 3
 
     def test_support_is_cylinder_pair(self, setup, omega012):
-        cyl, s = setup
+        u, s = setup
         sigma = s[0, 1]
         for letters in language(omega012, 2 * sigma.radius):
             n = sigma._eval(letters, sigma.radius)
-            in_u = letters[sigma.radius + cyl.offset : sigma.radius + cyl.offset + len(cyl.word)] == cyl.word
-            in_phi_u = letters[sigma.radius + cyl.offset - 1 : sigma.radius + cyl.offset - 1 + len(cyl.word)] == cyl.word
+            in_u = letters[sigma.radius : sigma.radius + len(u)] == u
+            in_phi_u = letters[sigma.radius - 1 : sigma.radius - 1 + len(u)] == u
             if in_u:
                 assert n == 1
             elif in_phi_u:
@@ -513,14 +555,13 @@ class TestSwapInvolutions:
                 assert n == 0
 
     def test_disjointness_violation_rejected(self, omega012):
-        overlapping = Cylinder("T", 0)  # T at 0 and T at 2 co-occur
-        with pytest.raises(ValueError):
-            swap_involution(overlapping, 0, 2, omega012)
+        with pytest.raises(ValueError):  # T at 0 and T at 2 co-occur
+            swap_involution("T", 0, 2, omega012)
 
 
 class TestFirstReturn:
     def test_full_space_is_shift(self, omega012):
-        r = first_return_element(Cylinder("", 0), omega012)
+        r = first_return_element("", omega012)
         assert elements_equal(r, shift_power(1, omega012))
 
     def test_not_identity_and_unbounded_order(self, omega012):
@@ -534,19 +575,18 @@ class TestFirstReturn:
         assert is_identity(compose(inverse(r0), r0))
 
     def test_conjugate_supports(self, omega012):
-        cyl = find_disjoint_cylinder(omega012, 3)
-        r0 = first_return_element(cyl, omega012)
+        u = find_disjoint_cylinder(omega012, 3)
+        r0 = first_return_element(u, omega012)
         r1 = compose(shift_power(1, omega012), compose(r0, shift_power(-1, omega012)))
-        # support of r1 is the shifted cylinder: pattern at offset-1
+        # support of r1 is the shifted cylinder: u one position to the left
         for letters in language(omega012, 2 * r1.radius):
             n = r1._eval(letters, r1.radius)
-            shifted = letters[r1.radius + cyl.offset - 1 : r1.radius + cyl.offset - 1 + len(cyl.word)]
-            if shifted != cyl.word:
+            if letters[r1.radius - 1 : r1.radius - 1 + len(u)] != u:
                 assert n == 0
 
     def test_returns_commute(self, omega012):
-        cyl = find_disjoint_cylinder(omega012, 3)
-        r0 = first_return_element(cyl, omega012)
+        u = find_disjoint_cylinder(omega012, 3)
+        r0 = first_return_element(u, omega012)
         rs = [
             compose(shift_power(i, omega012), compose(r0, shift_power(-i, omega012)))
             for i in range(3)
@@ -556,10 +596,10 @@ class TestFirstReturn:
                 assert elements_equal(compose(rs[i], rs[j]), compose(rs[j], rs[i]))
 
     def test_sigma_conjugation_permutes_returns(self, omega012):
-        cyl = find_disjoint_cylinder(omega012, 3)
-        r0 = first_return_element(cyl, omega012)
+        u = find_disjoint_cylinder(omega012, 3)
+        r0 = first_return_element(u, omega012)
         r1 = compose(shift_power(1, omega012), compose(r0, shift_power(-1, omega012)))
-        s01 = swap_involution(cyl, 0, 1, omega012)
+        s01 = swap_involution(u, 0, 1, omega012)
         assert elements_equal(compose(s01, compose(r0, s01)), r1)
 
 

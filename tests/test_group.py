@@ -15,7 +15,6 @@ from grigorchuk import (
     apply_word,
     ball_sizes,
     element_order,
-    fixing_generator,
     gray_rank,
     is_trivial,
     normalize_word,
@@ -30,6 +29,8 @@ from grigorchuk.group import (
     find_moved_vertex,
 )
 from grigorchuk.omega import OmegaSequence
+
+from conftest import fixing_generator
 
 words = st.text(alphabet="abcd", max_size=10)
 vertices = st.text(alphabet="01", max_size=10)
@@ -369,10 +370,6 @@ class TestRays:
         assert fixing_generator("0", omega012) == "d"
         assert fixing_generator("10", omega012) == "c"
         assert fixing_generator("110", omega012) == "b"
-
-    def test_fixing_generator_rejects_rho(self, omega012):
-        with pytest.raises(ValueError):
-            fixing_generator("", omega012)
 
     @given(st.text(alphabet="01", min_size=1, max_size=8), omegas)
     def test_fixing_generator_fixes(self, prefix, w):

@@ -17,7 +17,6 @@ from grigorchuk import (
     build_gamma_orbit,
     build_gamma_recursive,
     export_dot,
-    fixing_generator,
     parse_omega,
     ray_at,
     ruler_a,
@@ -26,7 +25,7 @@ from grigorchuk.group import SYMBOL_GEN, _flip, _partner
 from grigorchuk.omega import OmegaSequence
 from grigorchuk.schreier import _block_word, _orbit_rows, _word_graph, gray_rank
 
-from conftest import block_letters
+from conftest import block_letters, fixing_generator
 
 GOLDEN = Path(__file__).parent / "golden"
 
