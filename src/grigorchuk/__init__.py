@@ -52,6 +52,7 @@ from .fullgroup import (
     shift_power,
     swap_involution,
     tau,
+    witness_window,
 )
 
 __version__ = "0.1.0"

@@ -163,10 +163,11 @@ def check_embedding(omegas, caps: Caps, seed: int) -> tuple[bool, str]:
             word = _random_word(rng, caps.embed_len)
             total += 1
             trivial = group.is_trivial(word, omega)
-            if trivial != fg.is_identity(fg.embed_word(word, omega)):
+            e = fg.embed_word(word, omega)
+            if trivial != fg.is_identity(e):
                 mismatches += 1
                 continue
-            if not trivial and fg.injectivity_witness(word, omega) is None:
+            if not trivial and fg.witness_window(e, group.find_moved_vertex(word, omega)) is None:
                 missing_witness += 1
     return mismatches == 0 and missing_witness == 0, (
         f"{total} words: identity iff trivial ({mismatches} mismatches), "

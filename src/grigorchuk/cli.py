@@ -169,7 +169,9 @@ def cmd_embed(args) -> tuple[int, Iterable[str]]:
         f"identity: {identity}",
     ]
     if not identity:
-        witness = fg.injectivity_witness(word, omega)
+        witness = fg.witness_window(element, group.find_moved_vertex(word, omega))
+        if witness is None:  # the injectivity argument failed on this word
+            return EXIT_CHECK_FAILED, _lines([*out, "witness window: none found"])
         out.append(f"witness window (radius {witness.radius}): {witness.letters}")
         out.append(f"witness cocycle: {element.cocycle(witness):+d}")
     return EXIT_OK, chain(_lines(out), fg.dump_element(element) if args.dump else ())
@@ -226,10 +228,9 @@ def cmd_verify(args) -> tuple[int, Iterable[str]]:
 def cmd_export(args) -> tuple[int, Iterable[str]]:
     omega = parse_omega(args.omega)
     lo, _, hi = args.levels.partition(":")
-    try:
-        start, stop = int(lo), int(hi or lo)
-    except ValueError:  # "a", ":3" or "1:2:3": no range, reported below
-        start = stop = 0
+    # ASCII digits only: int() also takes signs, spaces, "_" and other scripts'
+    # digits; "a", ":3" or "1:2:3" give no range either, reported below
+    start, stop = (int(b) if b.isascii() and b.isdigit() else 0 for b in (lo, hi or lo))
     if not 1 <= start <= stop:
         raise ValueError(f"level range must satisfy 1 <= lo <= hi, got {args.levels!r}")
     outdir = Path(args.outdir)

@@ -265,24 +265,32 @@ def schreier_window(omega: OmegaSequence, center: int, radius: int) -> Window:
     return Window(radius, junction[start : start + 2 * radius])
 
 
-def injectivity_witness(word: str, omega: OmegaSequence) -> Window | None:
-    """An admissible window where the embedded word's cocycle is nonzero,
-    found exactly as in the injectivity argument: push a moved tree vertex out
-    to an orbit point farther than |word| from the basepoint and read off the
-    window around it."""
-    if is_trivial(word, omega):
-        return None
-    e = embed_word(word, omega)
+def witness_window(e: FullGroupElement, vertex: str) -> Window | None:
+    """An admissible window where e's cocycle is nonzero, found as in the
+    injectivity argument: push a tree vertex v that e moves out to the orbit
+    points v 1^(t-1) 0, and read off the window around the first one ranked
+    past reach = max(dbound, radius), |word| for an embedded word, where the
+    cocycle is nonzero; None if 64 pushes find none. An L-digit prefix ranks
+    below 2^L, so the pushes start at the first L with 2^L - 1 > reach."""
     r = e.radius
-    v = find_moved_vertex(word, omega)
-    for t in range(64):
-        prefix = v if t == 0 else v + "1" * (t - 1) + "0"
-        j = gray_rank(prefix)
-        if j > max(len(word), r):
-            window = schreier_window(omega, j, r)
+    reach = max(e.dbound, r)
+    for t in range(max(0, (reach + 1).bit_length() - len(vertex)), 64):
+        j = gray_rank(vertex if t == 0 else vertex + "1" * (t - 1) + "0")
+        if j > reach:
+            window = schreier_window(e.omega, j, r)
             if e.cocycle(window) != 0:
                 return window
-    raise RuntimeError(f"no witness found for nontrivial word {word!r}")
+    return None
+
+
+def injectivity_witness(word: str, omega: OmegaSequence) -> Window | None:
+    """`witness_window` of the embedded word, None for a trivial word."""
+    if is_trivial(word, omega):
+        return None
+    window = witness_window(embed_word(word, omega), find_moved_vertex(word, omega))
+    if window is None:
+        raise RuntimeError(f"no witness found for nontrivial word {word!r}")
+    return window
 
 
 def schreier_consistency(word: str, omega: OmegaSequence, j: int) -> bool:

@@ -92,8 +92,10 @@ def _block_word(omega: OmegaSequence, m: int) -> str:
     return word
 
 
-# Symbol s -> (loop label, the two labels of the double edge), sorted.
-_LAMBDA = {str(s): (g, *sorted(set("bcd") - {g})) for s, g in SYMBOL_GEN.items()}
+# Fixing letter g -> (its loop label g, the two labels that move the point),
+# sorted; keyed by block symbol s, the labels of the double-edge block Lambda_s.
+_LOOP_MOVERS = {g: (g, *sorted(set("bcd") - {g})) for g in "bcd"}
+_LAMBDA = {str(s): _LOOP_MOVERS[g] for s, g in SYMBOL_GEN.items()}
 
 
 @dataclass(frozen=True)
@@ -164,7 +166,8 @@ class _OrbitEdges:
     partner edges ordered by v, so the stream is in canonical order, unsorted.
     A loop belongs to the double-edge block joining a point to its partner,
     and is cut with it when the partner is out of range; the three loops at
-    rho, its own partner, are kept only when with_xi."""
+    rho, its own partner, are kept only when with_xi. rho's row is the same at
+    every count >= 2, so its edges are written out."""
 
     omega: OmegaSequence
     count: int
@@ -172,12 +175,29 @@ class _OrbitEdges:
 
     def __iter__(self) -> Iterator[Edge]:
         count = self.count
-        for i, (j_a, j_p, fixers) in enumerate(_orbit_rows(self.omega, count)):
-            if (self.with_xi if j_p == i else j_p < count):
-                yield from ((i, i, g) for g in fixers)
-            a = ((i, j_a, "a"),) if i < j_a < count else ()
-            p = [(i, j_p, g) for g in "bcd" if g not in fixers] if i < j_p < count else []
-            yield from (*a, *p) if j_a < j_p else (*p, *a)
+        rows = _orbit_rows(self.omega, count)
+        next(rows)  # rho's row (1, 0, "bcd")
+        if self.with_xi:
+            yield (0, 0, "b")
+            yield (0, 0, "c")
+            yield (0, 0, "d")
+        yield (0, 1, "a")
+        for i, (j_a, j_p, fixer) in enumerate(rows, 1):
+            a = i < j_a < count
+            if not i < j_p < count:  # the block to the partner is row j_p's, or cut
+                if j_p < i:
+                    yield (i, i, fixer)
+                if a:
+                    yield (i, j_a, "a")
+                continue
+            loop, x, y = _LOOP_MOVERS[fixer]
+            yield (i, i, loop)
+            if a and j_a < j_p:
+                yield (i, j_a, "a")
+            yield (i, j_p, x)
+            yield (i, j_p, y)
+            if a and j_a > j_p:
+                yield (i, j_a, "a")
 
 
 def build_gamma_orbit(omega: OmegaSequence, vertex_count: int, with_xi: bool) -> LabeledGraph:

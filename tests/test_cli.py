@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from grigorchuk import battery, parse_omega, schreier, subshift
+from grigorchuk import battery, fullgroup as fg, parse_omega, schreier, subshift
 from grigorchuk.cli import _graph_json, main
 
 from conftest import SUITE_SPECS, fixing_generator
@@ -189,10 +189,22 @@ class TestBallOrbitEmbedDouble:
         assert err == "error: count must be >= 1\n"
 
     def test_embed_witness(self, capsys):
-        for word in ("ab", "ab" * 300):
-            code, out, _ = run(capsys, "embed", "--omega", "012", word)
-            assert code == 0 and "identity: False" in out
-            assert "witness window (radius" in out and "witness cocycle: " in out
+        code, out, _ = run(capsys, "embed", "--omega", "012", "ab")
+        assert code == 0 and out == (
+            "word=ab omega=012\nradius=2 displacement_bound=2\nidentity: False\n"
+            "witness window (radius 2): T0T2\nwitness cocycle: -2\n"
+        )
+        code, out, _ = run(capsys, "embed", "--omega", "012", "ab" * 300)
+        assert code == 0 and out.endswith("witness cocycle: +8\n")
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "7b65bc52308c3934e58d69cc58c91adef30a3395a8bdc4b7ceff4f5ff39375f1"
+        )
+
+    def test_embed_without_witness_exits_1(self, capsys, monkeypatch):
+        # a nontrivial word with no witness window is a failed check, not a crash
+        monkeypatch.setattr(fg, "witness_window", lambda e, vertex: None)
+        code, out, _ = run(capsys, "embed", "--omega", "012", "ab")
+        assert code == 1 and out.endswith("identity: False\nwitness window: none found\n")
 
     def test_embed_dump(self, capsys):
         code, out, _ = run(capsys, "embed", "--omega", "012", "a", "--dump")
@@ -209,6 +221,14 @@ class TestBallOrbitEmbedDouble:
 
 
 class TestVerify:
+    @pytest.mark.parametrize("fmt, digest", [
+        ("text", "fbe3882deb76cd3195154ebcc49e666f47e74773f21cd7ba34c66d56b20d2c39"),
+        ("json", "7704af9fba72277ce81cff27843e7472c55c509b3fda6d40b403859a12ece254"),
+    ])
+    def test_full_caps_output_pinned(self, capsys, fmt, digest):
+        code, out, _ = run(capsys, "verify", "--seed", "1729", "--format", fmt)
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_quick_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--quick", "--seed", "5")
         assert code == 0
@@ -299,7 +319,7 @@ class TestExport:
         assert code == 2 and "level range" in err
         assert not outdir.exists()
 
-    @pytest.mark.parametrize("levels", ["1:2:3", ":3", "a"])
+    @pytest.mark.parametrize("levels", ["1:2:3", ":3", "a", " 0_2 : 3", "+2:3", "\u0663:4"])
     def test_malformed_range_exits_2(self, capsys, tmp_path, levels):
         outdir = tmp_path / "out"
         code, out, err = run(capsys, "export", "--omega", "012", "--levels", levels,

@@ -25,6 +25,7 @@ from grigorchuk import (
     embed_word,
     find_disjoint_cylinder,
     first_return_element,
+    gray_rank,
     identity_element,
     injectivity_witness,
     inverse,
@@ -38,8 +39,11 @@ from grigorchuk import (
     shift_power,
     swap_involution,
     tau,
+    witness_window,
 )
+from grigorchuk import fullgroup
 from grigorchuk.fullgroup import InsufficientWindowError, _gen
+from grigorchuk.group import find_moved_vertex
 from grigorchuk.omega import EventuallyConstantOmegaError
 from grigorchuk.subshift import _junctions, _level_for, _windows
 
@@ -393,7 +397,50 @@ class TestLongWords:
         assert e.label == "(" * 117 + "..."
 
 
+def witness_by_scan(word, omega):
+    """Oracle for injectivity_witness: decide and embed the word, then push
+    the moved vertex out one prefix at a time from t = 0, ranking every push."""
+    if is_trivial(word, omega):
+        return None
+    e = embed_word(word, omega)
+    r = e.radius
+    v = find_moved_vertex(word, omega)
+    for t in range(64):
+        prefix = v if t == 0 else v + "1" * (t - 1) + "0"
+        j = gray_rank(prefix)
+        if j > max(len(word), r):
+            window = schreier_window(omega, j, r)
+            if e.cocycle(window) != 0:
+                return window
+    raise RuntimeError(f"no witness found for nontrivial word {word!r}")
+
+
 class TestWitnesses:
+    def test_matches_scan_oracle(self, suite):
+        rng = random.Random(25)
+        omegas = [*suite, parse_omega("2" * 18 + ":01"), parse_omega("1:02")]
+        for w in omegas:
+            for _ in range(200):
+                word = "".join(rng.choice("abcd") for _ in range(rng.randint(1, 40)))
+                assert injectivity_witness(word, w) == witness_by_scan(word, w)
+
+    def test_window_of_the_built_element(self, omega012):
+        # the battery's and embed's path: the caller's element and moved vertex
+        for word in ("a", "ab", "abac", "ab" * 40):
+            e = embed_word(word, omega012)
+            window = witness_window(e, find_moved_vertex(word, omega012))
+            assert window == witness_by_scan(word, omega012) and e.cocycle(window) != 0
+
+    def test_no_window_raises_for_the_word(self, omega012, monkeypatch):
+        monkeypatch.setattr(fullgroup, "witness_window", lambda e, vertex: None)
+        with pytest.raises(RuntimeError, match="no witness found for nontrivial word 'ab'"):
+            injectivity_witness("ab", omega012)
+
+    def test_battery_counts_missing_windows(self, omega012, monkeypatch):
+        monkeypatch.setattr(fullgroup, "witness_window", lambda e, vertex: None)
+        passed, detail = battery.check_embedding([omega012], battery.QUICK_CAPS, 1)
+        assert not passed and "(0 mismatches)" in detail and "(0 missing)" not in detail
+
     def test_trivial_words_have_none(self, omega012):
         assert injectivity_witness("bcd", omega012) is None
         assert injectivity_witness("", omega012) is None

@@ -141,6 +141,18 @@ def orbit_graph_by_sort(omega: OmegaSequence, vertex_count: int, with_xi: bool) 
     return make_graph(vertex_count, edges)
 
 
+def orbit_edges_by_splat(omega: OmegaSequence, vertex_count: int, with_xi: bool):
+    """Oracle for the stream of build_gamma_orbit, row by row: loops from a
+    generator expression, then the a-edge and the partner edges spliced in
+    order of their other end."""
+    for i, (j_a, j_p, fixers) in enumerate(_orbit_rows(omega, vertex_count)):
+        if (with_xi if j_p == i else j_p < vertex_count):
+            yield from ((i, i, g) for g in fixers)
+        a = ((i, j_a, "a"),) if i < j_a < vertex_count else ()
+        p = [(i, j_p, g) for g in "bcd" if g not in fixers] if i < j_p < vertex_count else []
+        yield from (*a, *p) if j_a < j_p else (*p, *a)
+
+
 def _reverse(g: LabeledGraph) -> LabeledGraph:
     relabel = lambda v: g.n - 1 - v
     return make_graph(g.n, [(relabel(u), relabel(v), lab) for u, v, lab in g.edges])
@@ -425,6 +437,14 @@ class TestGammaBuilders:
                     assert edges == tuple(sorted(edges))
                     assert edges == orbit_graph_by_sort(w, count, with_xi).edges
                     assert tuple(g.edges) == edges
+
+    def test_orbit_edges_match_splat_oracle(self, suite):
+        counts = [*range(2, 130), 1000, 4095, 4096, 4097]
+        for w in [*suite, *map(parse_omega, ("0:1", "2", "1:02"))]:
+            for with_xi in (False, True):
+                for count in counts:
+                    edges = build_gamma_orbit(w, count, with_xi).edges
+                    assert list(edges) == list(orbit_edges_by_splat(w, count, with_xi))
 
     def test_unlabeled_shape(self, omega012):
         # alternating simple edges and double-edges-with-loops along the line
