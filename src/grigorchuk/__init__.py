@@ -10,7 +10,6 @@ from .group import (
     element_order,
     is_trivial,
     normalize_word,
-    root_and_sections,
 )
 from .schreier import (
     LabeledGraph,

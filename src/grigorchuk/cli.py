@@ -169,8 +169,9 @@ def cmd_embed(args) -> tuple[int, Iterable[str]]:
         f"identity: {identity}",
     ]
     if not identity:
-        witness = fg.witness_window(element, group.find_moved_vertex(word, omega))
-        if witness is None:  # the injectivity argument failed on this word
+        vertex = group.find_moved_vertex(word, omega)
+        witness = None if vertex is None else fg.witness_window(element, vertex)
+        if witness is None:  # the word problem or the injectivity argument disagrees
             return EXIT_CHECK_FAILED, _lines([*out, "witness window: none found"])
         out.append(f"witness window (radius {witness.radius}): {witness.letters}")
         out.append(f"witness cocycle: {element.cocycle(witness):+d}")
@@ -322,6 +323,9 @@ def main(argv=None) -> int:
         return EXIT_UNSUPPORTED
     except (ValueError, OSError) as exc:  # OmegaParseError is a ValueError; OSError: an unwritable -o or --outdir
         sys.stderr.write(f"error: {exc}\n")
+        return EXIT_USAGE
+    except MemoryError:  # a size the user asked for that does not fit
+        sys.stderr.write(f"error: out of memory in {args.command}; ask for a smaller size\n")
         return EXIT_USAGE
 
 

@@ -14,12 +14,12 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from math import lcm
 
-from .group import GEN_SYMBOL, _check_word, apply_word, find_moved_vertex, is_trivial
+from .group import GEN_SYMBOL, _check_word, apply_word, find_moved_vertex
 from .omega import OmegaSequence
 from .schreier import _block_word, gray_rank, ray_at, ruler_a
 from .subshift import (
-    MARKER, _doubled_junctions, _junctions, _level_for, _require_not_constant, _windows,
-    double_language, is_admissible, language, uniform_recurrence_radius,
+    MARKER, _doubled_junctions, _junctions, _level_for, _occurrences, _require_not_constant,
+    _windows, double_language, is_admissible, language, uniform_recurrence_radius,
 )
 
 _LABEL_CAP = 120
@@ -285,9 +285,10 @@ def witness_window(e: FullGroupElement, vertex: str) -> Window | None:
 
 def injectivity_witness(word: str, omega: OmegaSequence) -> Window | None:
     """`witness_window` of the embedded word, None for a trivial word."""
-    if is_trivial(word, omega):
+    vertex = find_moved_vertex(word, omega)
+    if vertex is None:
         return None
-    window = witness_window(embed_word(word, omega), find_moved_vertex(word, omega))
+    window = witness_window(embed_word(word, omega), vertex)
     if window is None:
         raise RuntimeError(f"no witness found for nontrivial word {word!r}")
     return window
@@ -309,13 +310,7 @@ def schreier_consistency(word: str, omega: OmegaSequence, j: int) -> bool:
 def _joint_occurrence(u: str, k: int, omega: OmegaSequence) -> bool:
     """Is there an admissible word carrying u both at offset 0 and offset k?
     Some occurrence of u in the junction words for |u| + k recurs k later."""
-    for j in _junctions(omega, _level_for(len(u) + k)):
-        i = j.find(u)
-        while i >= 0:
-            if j.startswith(u, i + k):
-                return True
-            i = j.find(u, i + 1)
-    return False
+    return any(j.startswith(u, i + k) for j, i in _occurrences(u, omega, _level_for(len(u) + k)))
 
 
 def find_disjoint_cylinder(omega: OmegaSequence, n: int) -> str:

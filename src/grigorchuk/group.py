@@ -148,21 +148,11 @@ def _normalize(word: str) -> str:
     return "".join(stack)
 
 
-def root_and_sections(word: str, omega: OmegaSequence) -> tuple[bool, str, str]:
-    """Wreath decomposition of any word over a/b/c/d.
-
-    Returns (root_swap, section0, section1) with the sections read in
-    G_{shifted omega}: the automorphism acts as w(xv) = swap(x) + section_x(v).
-    Only a normalized word of length >= 2 is sure to have shorter sections.
-    """
-    _check_word(word)
-    return _sections(word, omega.at(1))
-
-
 def _sections(word: str, first: int) -> tuple[bool, str, str]:
-    # root_and_sections over an omega that reads `first` at 1. A b/c/d letter
-    # followed by an odd number of a-letters lands in section 0 as itself,
-    # else in section 1; upper case marks the first kind, run by run.
+    # (root swap, section 0, section 1) of any word over an omega reading
+    # `first` at 1, w(xv) = swap(x) section_x(v). A b/c/d letter followed by an
+    # odd number of a-letters lands in section 0 as itself, else in section 1;
+    # upper case marks the first kind, run by run.
     runs = word.split("a")
     runs[-2::-2] = word.upper().split("A")[-2::-2]
     marked = "".join(runs)
@@ -226,12 +216,12 @@ def element_order(word: str, omega: OmegaSequence, max_order: int) -> int | None
     return 1 << depth if depth <= most else None
 
 
-def find_moved_vertex(word: str, omega: OmegaSequence) -> str:
-    """Some tree vertex moved by a nontrivial word, found by walking down its
-    nontrivial sections (cheap: no exhaustive level scans)."""
+def find_moved_vertex(word: str, omega: OmegaSequence) -> str | None:
+    """Some tree vertex moved by the word, or None exactly when it is trivial:
+    the walk enters section 0 when that is nontrivial and section 1 otherwise,
+    so it keeps a nontrivial section down to a leaf of at most one letter
+    exactly when the word is nontrivial (a swap on the way moves a vertex)."""
     w = normalize_word(word)
-    if _trivial_normalized(w, omega):
-        raise ValueError("trivial words move no vertex")
     path = ""
     while len(w) > 1:
         swap, s0, s1 = _sections(w, omega.at(1))
@@ -243,6 +233,8 @@ def find_moved_vertex(word: str, omega: OmegaSequence) -> str:
             path, w = path + "1", _normalize(s1)
         else:
             path += "0"
+    if _trivial_normalized(w, omega):
+        return None
     if w == "a":
         return path + "0"
     m = 1

@@ -7,6 +7,7 @@ the double-edge blocks, and 'z' for the doubling marker.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from functools import lru_cache
 
 from .omega import EventuallyConstantOmegaError, OmegaSequence
@@ -15,14 +16,15 @@ from .schreier import _block_word
 ALPHABET = "T012"
 _DROP_ALPHABET = str.maketrans("", "", ALPHABET)
 MARKER = "z"
+_DROP_LETTERS = str.maketrans("", "", ALPHABET + MARKER)
 _RADIUS_CAP = 1 << 22
-
-_RENDER = {"T": "T", "0": "L0", "1": "L1", "2": "L2", "z": "z"}
 
 
 def render_word(word: str) -> str:
     """Dump spelling: T, L0, L1, L2, z."""
-    return "".join(_RENDER[ch] for ch in word)
+    if word.translate(_DROP_LETTERS):
+        raise ValueError(f"letters must be in {ALPHABET + MARKER!r}, got {word!r}")
+    return word.replace("0", "L0").replace("1", "L1").replace("2", "L2")
 
 
 def _require_not_constant(omega: OmegaSequence) -> None:
@@ -125,6 +127,15 @@ def _require_letters(word: str) -> None:
         raise ValueError(f"letters must be in {ALPHABET!r}, got {word!r}")
 
 
+def _occurrences(word: str, omega: OmegaSequence, m: int) -> Iterator[tuple[str, int]]:
+    """(j, i) for each start i of the word in each level-m junction word j."""
+    for j in _junctions(omega, m):
+        i = j.find(word)
+        while i >= 0:
+            yield j, i
+            i = j.find(word, i + 1)
+
+
 def is_admissible(word: str, omega: OmegaSequence) -> bool:
     """Membership is a substring search in the junction words."""
     _require_letters(word)
@@ -143,13 +154,10 @@ def extensions(word: str, omega: OmegaSequence, side: str) -> frozenset[str]:
         raise ValueError("side must be 'left' or 'right'")
     _require_letters(word)
     offset = -1 if side == "left" else len(word)
-    letters = set()
-    for j in _junctions(omega, _level_for(len(word) + 1)):
-        i = j.find(word)
-        while i >= 0:
-            if 0 <= i + offset < len(j):
-                letters.add(j[i + offset])
-            i = j.find(word, i + 1)
+    letters = {
+        j[i + offset] for j, i in _occurrences(word, omega, _level_for(len(word) + 1))
+        if 0 <= i + offset < len(j)
+    }
     if not letters:
         raise ValueError(f"word {render_word(word)} is not admissible")
     return frozenset(letters)

@@ -2,10 +2,15 @@
 
 import hashlib
 import json
+import os
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import grigorchuk
 from grigorchuk import battery, fullgroup as fg, parse_omega, schreier, subshift
 from grigorchuk.cli import _graph_json, main
 
@@ -31,6 +36,18 @@ class TestGraph:
     def test_oracle_match(self, capsys):
         code, out, _ = run(capsys, "graph", "--omega", "012", "--level", "5", "--oracle")
         assert code == 0 and out.startswith("MATCH")
+
+    def test_out_of_memory_exits_2(self):
+        # 2^41 vertices do not fit: one line and exit 2, no traceback. The
+        # 1 GiB address-space limit is set in the child process alone.
+        limit = lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        env = {**os.environ, "PYTHONPATH": str(Path(grigorchuk.__file__).parents[1])}
+        child = subprocess.run(
+            [sys.executable, "-m", "grigorchuk.cli", "graph", "--omega", "012", "--level", "40"],
+            capture_output=True, text=True, env=env, preexec_fn=limit, timeout=60,
+        )
+        assert (child.returncode, child.stdout) == (2, "")
+        assert child.stderr == "error: out of memory in graph; ask for a smaller size\n"
 
     def test_oracle_builds_only_what_it_compares(self, capsys, monkeypatch):
         calls = []
@@ -204,6 +221,12 @@ class TestBallOrbitEmbedDouble:
         # a nontrivial word with no witness window is a failed check, not a crash
         monkeypatch.setattr(fg, "witness_window", lambda e, vertex: None)
         code, out, _ = run(capsys, "embed", "--omega", "012", "ab")
+        assert code == 1 and out.endswith("identity: False\nwitness window: none found\n")
+
+    def test_embed_disagreement_exits_1(self, capsys, monkeypatch):
+        # the full group calls a trivial word nontrivial: a failed check too
+        monkeypatch.setattr(fg, "is_identity", lambda e: False)
+        code, out, _ = run(capsys, "embed", "--omega", "012", "bcd")
         assert code == 1 and out.endswith("identity: False\nwitness window: none found\n")
 
     def test_embed_dump(self, capsys):

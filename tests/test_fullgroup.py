@@ -41,7 +41,7 @@ from grigorchuk import (
     tau,
     witness_window,
 )
-from grigorchuk import fullgroup
+from grigorchuk import fullgroup, group
 from grigorchuk.fullgroup import InsufficientWindowError, _gen
 from grigorchuk.group import find_moved_vertex
 from grigorchuk.omega import EventuallyConstantOmegaError
@@ -440,6 +440,14 @@ class TestWitnesses:
         monkeypatch.setattr(fullgroup, "witness_window", lambda e, vertex: None)
         passed, detail = battery.check_embedding([omega012], battery.QUICK_CAPS, 1)
         assert not passed and "(0 mismatches)" in detail and "(0 missing)" not in detail
+
+    def test_battery_normalizes_each_word_once(self, suite, monkeypatch):
+        # one descent decides each word and finds the vertex it moves
+        calls = []
+        normalize = group.normalize_word
+        monkeypatch.setattr(group, "normalize_word", lambda word: calls.append(word) or normalize(word))
+        passed, detail = battery.check_embedding(suite, battery.Caps(), battery.DEFAULT_SEED)
+        assert passed and detail.startswith("2500 words:") and len(calls) == 2500
 
     def test_trivial_words_have_none(self, omega012):
         assert injectivity_witness("bcd", omega012) is None

@@ -20,12 +20,12 @@ from grigorchuk import (
     normalize_word,
     parse_omega,
     ray_at,
-    root_and_sections,
 )
 from grigorchuk.group import (
     _KLEIN,
     _element_keys,
     _partner,
+    _sections,
     find_moved_vertex,
 )
 from grigorchuk.omega import OmegaSequence
@@ -162,7 +162,7 @@ def normalize_by_stack(word: str) -> str:
 
 
 def sections_by_scan(word: str, omega: OmegaSequence) -> tuple[bool, str, str]:
-    """Oracle for root_and_sections: one scan, swapping the two sections at
+    """Oracle for _sections: one scan, swapping the two sections at
     every a-letter."""
     swap = False
     s0: list[str] = []
@@ -425,15 +425,15 @@ class TestNormalize:
 
 class TestSections:
     def test_examples(self, omega012):
-        assert root_and_sections("a", omega012) == (True, "", "")
-        assert root_and_sections("d", omega012) == (False, "", "d")
-        assert root_and_sections("b", omega012) == (False, "a", "b")
-        assert root_and_sections("bb", omega012) == (False, "aa", "bb")
+        assert _sections("a", omega012.at(1)) == (True, "", "")
+        assert _sections("d", omega012.at(1)) == (False, "", "d")
+        assert _sections("b", omega012.at(1)) == (False, "a", "b")
+        assert _sections("bb", omega012.at(1)) == (False, "aa", "bb")
 
     @given(words, omegas)
     def test_contraction_bound(self, word, w):
         word = normalize_word(word)
-        swap, s0, s1 = root_and_sections(word, w)
+        swap, s0, s1 = _sections(word, w.at(1))
         bound = (len(word) + 2) // 2
         assert len(s0) <= bound and len(s1) <= bound
 
@@ -442,25 +442,25 @@ class TestSections:
         """For raw words too: the wreath decomposition is a homomorphism."""
         x, rest = v[0], v[1:]
         for u in (word, normalize_word(word)):
-            swap, s0, s1 = root_and_sections(u, w)
+            swap, s0, s1 = _sections(u, w.at(1))
             section = s0 if x == "0" else s1
             expected = (_flip(x) if swap else x) + apply_word(section, rest, w.shift(1))
             assert apply_word(u, v, w) == expected
 
     @given(run_words, omegas)
     def test_matches_scan_on_runs(self, word, w):
-        assert root_and_sections(word, w) == sections_by_scan(word, w)
+        assert _sections(word, w.at(1)) == sections_by_scan(word, w)
 
     def test_matches_scan_on_conjugates(self, suite):
         for w in suite:
             for word in seeded_conjugates(3):
                 for u in (word, normalize_word(word)):
-                    assert root_and_sections(u, w) == sections_by_scan(u, w)
+                    assert _sections(u, w.at(1)) == sections_by_scan(u, w)
 
     def test_matches_scan_on_edge_words(self, suite):
         for w in (*suite, parse_omega("0:1")):
             for word in EDGE_WORDS:
-                assert root_and_sections(word, w) == sections_by_scan(word, w)
+                assert _sections(word, w.at(1)) == sections_by_scan(word, w)
 
 
 class TestWordProblem:
@@ -502,7 +502,7 @@ class TestWordProblem:
         "call",
         [
             lambda w: normalize_word("abxa"),
-            lambda w: root_and_sections("abxa", w),
+            lambda w: find_moved_vertex("abxa", w),
             lambda w: apply_word("abxa", "0", w),
             lambda w: is_trivial("abxa", w),
         ],
@@ -537,6 +537,16 @@ class TestWordProblem:
                         break
                 assert find_moved_vertex(word, w) == vertex
                 assert apply_word(word, vertex, w) != vertex
+
+    def test_moved_vertex_decides_the_word_problem(self, suite):
+        # None exactly for a trivial word, else a vertex the word moves; the
+        # constant omega 2 has trivial letters (b) and raises nothing
+        words = ["".join(p) for n in range(7) for p in product("abcd", repeat=n)]
+        for w in (*suite, *map(parse_omega, ("0:1", "2", "1:02"))):
+            for word in words:
+                vertex = find_moved_vertex(word, w)
+                assert (vertex is None) == is_trivial(word, w), (w.spec(), word)
+                assert vertex is None or apply_word(word, vertex, w) != vertex
 
     def test_words_equal(self, omega012):
         assert words_equal("bc", "d", omega012)

@@ -86,35 +86,43 @@ def glued_gamma(omega: OmegaSequence, n: int) -> LabeledGraph:
     return g
 
 
-# Both are pure, so the oracle memoizes them and stays cheap to rebuild at
-# every vertex count.
-_apply_generator = lru_cache(maxsize=None)(apply_generator)
+# gray_rank is pure and reads no omega, so the oracles memoize it across omegas.
 _gray_rank = lru_cache(maxsize=None)(gray_rank)
 
 
-def orbit_graph_by_apply(omega: OmegaSequence, vertex_count: int, with_xi: bool) -> LabeledGraph:
-    """Oracle for build_gamma_orbit: the images of four validated
-    apply_generator calls and two gray_rank calls per vertex, with no step
-    shared between generators."""
-    edges = []
+def orbit_images_by_apply(omega: OmegaSequence, vertex_count: int):
+    """Per vertex, the rank of its partner (its image under the b/c/d
+    generators that move it, None when none does) and each generator with the
+    rank of its image, None when it fixes the vertex: four validated
+    apply_generator calls and one gray_rank call per image, with no step
+    shared between generators. The images do not depend on the count, so one
+    table serves every smaller count."""
+    table = []
     for i in range(vertex_count):
         v = ray_at(i).prefix + "1"
-        images = [(g, _apply_generator(g, v, omega)) for g in "abcd"]
-        # A loop belongs to the double-edge block joining the vertex to its
-        # partner, the image under the b/c/d generators that move it; when the
-        # partner is out of range the whole block is cut, loop included.
-        partner = next((image for _, image in images[1:] if image != v), None)
-        j_partner = None if partner is None else _gray_rank(partner)
-        keep_loops = with_xi if partner is None else j_partner < vertex_count
-        for g, image in images:
-            if image == v:
+        row = []
+        for g in "abcd":
+            image = apply_generator(g, v, omega)
+            row.append((g, None if image == v else _gray_rank(image)))
+        table.append((next((j for _, j in row[1:] if j is not None), None), row))
+    return table
+
+
+def orbit_graph_by_apply(images, vertex_count: int, with_xi: bool) -> LabeledGraph:
+    """Oracle for build_gamma_orbit, cut from the first `vertex_count` rows of
+    `orbit_images_by_apply` and sorted. A loop belongs to the double-edge
+    block joining the vertex to its partner; when the partner is out of range
+    the whole block is cut, loop included."""
+    edges = []
+    for i, (j_partner, row) in enumerate(images[:vertex_count]):
+        keep_loops = with_xi if j_partner is None else j_partner < vertex_count
+        for g, j in row:
+            if j is None:
                 if keep_loops:
                     edges.append((i, i, g))
-            else:
-                j = _gray_rank(image) if g == "a" else j_partner
-                if i < j < vertex_count:
-                    edges.append((i, j, g))
-    return make_graph(vertex_count, edges)
+            elif i < j < vertex_count:
+                edges.append((i, j, g))
+    return LabeledGraph(vertex_count, tuple(sorted(edges)))  # each edge is (i, j >= i, g)
 
 
 def rows_by_action(omega: OmegaSequence, vertex_count: int):
@@ -126,19 +134,19 @@ def rows_by_action(omega: OmegaSequence, vertex_count: int):
         yield _gray_rank(_flip(v[0]) + v[1:]), _gray_rank(partner), fixers
 
 
-def orbit_graph_by_sort(omega: OmegaSequence, vertex_count: int, with_xi: bool) -> LabeledGraph:
-    """Oracle for the order of build_gamma_orbit's stream: the same rows and
-    the same edges, kept in generator order and put in canonical order by a
-    sort."""
+def orbit_graph_by_sort(rows, vertex_count: int, with_xi: bool) -> LabeledGraph:
+    """Oracle for the order of build_gamma_orbit's stream: the edges of the
+    first `vertex_count` rows of `rows_by_action`, kept in generator order and
+    put in canonical order by a sort."""
     edges = []
-    for i, (j_a, j_partner, fixers) in enumerate(_orbit_rows(omega, vertex_count)):
+    for i, (j_a, j_partner, fixers) in enumerate(rows[:vertex_count]):
         if (with_xi if j_partner == i else j_partner < vertex_count):
             edges += [(i, i, g) for g in fixers]
         if i < j_a < vertex_count:
             edges.append((i, j_a, "a"))
         if i < j_partner < vertex_count:
             edges += [(i, j_partner, g) for g in "bcd" if g not in fixers]
-    return make_graph(vertex_count, edges)
+    return LabeledGraph(vertex_count, tuple(sorted(edges)))  # each edge is (i, j >= i, g)
 
 
 def orbit_edges_by_splat(omega: OmegaSequence, vertex_count: int, with_xi: bool):
@@ -394,9 +402,10 @@ class TestGammaBuilders:
 
     def test_orbit_matches_apply_oracle(self, suite):
         for w in suite:
+            images = orbit_images_by_apply(w, 300)
             for with_xi in (False, True):
                 for count in range(2, 301):
-                    assert build_gamma_orbit(w, count, with_xi) == orbit_graph_by_apply(w, count, with_xi)
+                    assert build_gamma_orbit(w, count, with_xi) == orbit_graph_by_apply(images, count, with_xi)
 
     def test_orbit_rows_match_action(self, suite):
         for w in [*suite, *map(parse_omega, ("0:1", "2", "1:02"))]:
@@ -429,13 +438,14 @@ class TestGammaBuilders:
         # and the stream is made again on each pass, holding no edge tuple.
         counts = [*range(2, 301), *(1 << k for k in range(9, 12))]
         for w in suite:
+            rows = list(rows_by_action(w, max(counts)))
             for with_xi in (False, True):
                 for count in counts:
                     g = build_gamma_orbit(w, count, with_xi)
                     assert not isinstance(g.edges, tuple)
                     edges = tuple(g.edges)
                     assert edges == tuple(sorted(edges))
-                    assert edges == orbit_graph_by_sort(w, count, with_xi).edges
+                    assert edges == orbit_graph_by_sort(rows, count, with_xi).edges
                     assert tuple(g.edges) == edges
 
     def test_orbit_edges_match_splat_oracle(self, suite):

@@ -513,5 +513,16 @@ class TestDoubleLanguage:
                 assert is_admissible(plain, w)
 
 
-def test_render_word():
+def render_by_letter(word: str) -> str:
+    """Oracle for render_word: one spelling per letter."""
+    return "".join({"T": "T", "0": "L0", "1": "L1", "2": "L2", "z": "z"}[ch] for ch in word)
+
+
+def test_render_word(suite):
     assert render_word("T012z") == "TL0L1L2z"
+    for w in suite:
+        for word in language(w, 9) | double_language(w, 9):
+            assert render_word(word) == render_by_letter(word)
+    for bad in ("x", "T0L", "t", "T3"):
+        with pytest.raises(ValueError, match="letters must be in 'T012z'"):
+            render_word(bad)
