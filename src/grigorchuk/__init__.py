@@ -24,9 +24,7 @@ from .subshift import (
     complexity,
     double_language,
     extensions,
-    gamma_word,
     is_admissible,
-    language,
     render_word,
     uniform_recurrence_radius,
 )

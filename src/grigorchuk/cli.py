@@ -37,6 +37,12 @@ def _lines(lines: Iterable[str]) -> Iterator[str]:
     return (f"{line}\n" for line in lines)
 
 
+def _spelled(spots: list[tuple[str, int]], n: int, sep: str) -> Iterator[str]:
+    """The length-n windows at the spots, spelled, `sep` before all but the first."""
+    for k, (j, i) in enumerate(spots):
+        yield f"{sep if k else ''}{subshift.render_word(j[i : i + n])}"
+
+
 def _graph_json(g: schreier.LabeledGraph) -> Iterator[str]:
     """The object {edges, leftmost, n, rightmost} laid out exactly as
     `json.dumps(..., sort_keys=True, indent=2)` writes it, one edge at a time;
@@ -72,14 +78,16 @@ def cmd_graph(args) -> tuple[int, Iterable[str]]:
 
 
 def cmd_language(args) -> tuple[int, Iterable[str]]:
-    omega = parse_omega(args.omega)
-    words = [subshift.render_word(w) for w in sorted(subshift.language(omega, args.n))]
-    header = f"omega={omega.spec()} n={args.n} count={len(words)}"
-    if args.format == "json":
-        lines = [json.dumps({"header": header, "words": words}, sort_keys=True, indent=2)]
-    else:
-        lines = [header, ("\t" if args.format == "tsv" else "\n").join(words)]
-    return EXIT_OK, _lines(lines)
+    omega, n = parse_omega(args.omega), args.n
+    if n < 0:
+        raise ValueError("length must be >= 0")
+    spots = subshift._factor_spots(subshift._junctions(omega, subshift._level_for(n)), n)
+    header = f"omega={omega.spec()} n={n} count={len(spots)}"
+    if args.format == "json":  # laid out as json.dumps(..., sort_keys=True, indent=2)
+        head = f'{{\n  "header": "{header}",\n  "words": [\n    "'
+        return EXIT_OK, chain([head], _spelled(spots, n, '",\n    "'), ['"\n  ]\n}\n'])
+    sep = "\t" if args.format == "tsv" else "\n"
+    return EXIT_OK, chain([f"{header}\n"], _spelled(spots, n, sep), ["\n"])
 
 
 def _table_omega(args):
@@ -194,11 +202,14 @@ def cmd_double(args) -> tuple[int, Iterable[str]]:
         ok = lhs <= bound
         all_ok = all_ok and ok
         lines.append(f"{n}\t{lhs}\t{bound}\t{'pass' if ok else 'FAIL'}")
-    if args.words is not None:
-        words = sorted(subshift.double_language(omega, args.words))
-        lines.append(f"words n={args.words} count={len(words)}")
-        lines.extend(subshift.render_word(w) for w in words)
-    return EXIT_OK if all_ok else EXIT_CHECK_FAILED, _lines(lines)
+    spots, n = [], args.words
+    if n is not None:
+        if n < 1:
+            raise ValueError("length must be >= 1")
+        junctions = subshift._doubled_junctions(omega, subshift._level_for((n + 1) // 2))
+        spots = subshift._factor_spots(junctions, n)
+        lines.append(f"words n={n} count={len(spots)}")
+    return EXIT_OK if all_ok else EXIT_CHECK_FAILED, _lines(chain(lines, _spelled(spots, n, "")))
 
 
 def cmd_verify(args) -> tuple[int, Iterable[str]]:

@@ -18,8 +18,8 @@ from .group import GEN_SYMBOL, _check_word, apply_word, find_moved_vertex
 from .omega import OmegaSequence
 from .schreier import _block_word, gray_rank, ray_at, ruler_a
 from .subshift import (
-    MARKER, _doubled_junctions, _junctions, _level_for, _occurrences, _require_not_constant,
-    _windows, double_language, is_admissible, language, uniform_recurrence_radius,
+    MARKER, _doubled_junctions, _factor_spots, _junctions, _level_for, _occurrences,
+    _require_not_constant, is_admissible, uniform_recurrence_radius,
 )
 
 _LABEL_CAP = 120
@@ -320,7 +320,8 @@ def find_disjoint_cylinder(omega: OmegaSequence, n: int) -> str:
     if n < 2:
         raise ValueError("need n >= 2")
     for length in range(1, _CYLINDER_MAX_LEN + 1):
-        for u in sorted(language(omega, length)):
+        for j, i in _factor_spots(_junctions(omega, _level_for(length)), length):
+            u = j[i : i + length]
             if all(not _joint_occurrence(u, k, omega) for k in range(1, n)):
                 return u
     raise RuntimeError(f"no disjoint cylinder for n={n} up to word length {_CYLINDER_MAX_LEN}")
@@ -392,13 +393,14 @@ def commutator_identity_check(word: str, omega: OmegaSequence) -> bool:
 
 def dump_element(e: FullGroupElement) -> Iterator[str]:
     """Debug dump as a stream of text: formal word, radius, displacement
-    bound, and the complete cocycle table in deterministic window order: a
-    sorted set while small enough to materialize, else first-seen order."""
+    bound, and the complete cocycle table, each admissible window once, in
+    sorted order, or in first-seen order for plain windows past 2048 letters."""
     yield f"word: {e.label}\nradius: {e.radius}\ndisplacement_bound: {e.dbound}\ntable:\n"
     length = 2 * e.radius
-    if e.tag == "B" or length <= 2048:
-        windows = sorted((double_language if e.tag == "B" else language)(e.omega, length))
-    else:  # junction by junction, each window once in first-seen order
-        windows = dict.fromkeys(_windows(_junctions(e.omega, _level_for(length)), length))
-    for w in windows:
-        yield f"  {w} -> {e._eval(w, e.radius):+d}\n"
+    words = (_doubled_junctions(e.omega, _level_for(e.radius)) if e.tag == "B"
+             else _junctions(e.omega, _level_for(length)))
+    spots = _factor_spots(words, length)
+    if e.tag == "A" and length > 2048:  # junction by junction, then by start
+        spots.sort(key=lambda spot: (words.index(spot[0]), spot[1]))
+    for j, i in spots:  # j extends the window, so the cocycle read in j is exact
+        yield f"  {j[i : i + length]} -> {e._eval(j, i + e.radius):+d}\n"

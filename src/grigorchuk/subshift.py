@@ -8,7 +8,7 @@ the double-edge blocks, and 'z' for the doubling marker.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from functools import lru_cache
+from functools import cmp_to_key, lru_cache
 
 from .omega import EventuallyConstantOmegaError, OmegaSequence
 from .schreier import _block_word
@@ -35,13 +35,6 @@ def _require_not_constant(omega: OmegaSequence) -> None:
         )
 
 
-def gamma_word(omega: OmegaSequence, letter_count: int) -> str:
-    """Prefix of the infinite block word, `letter_count` letters long."""
-    if letter_count < 0:
-        raise ValueError("letter count must be >= 0")
-    return _block_word(omega, letter_count.bit_length())[:letter_count]
-
-
 def _level_for(n: int) -> int:
     """Minimal m >= 1 with n <= 2^m."""
     return max(1, (n - 1).bit_length())
@@ -49,15 +42,15 @@ def _level_for(n: int) -> int:
 
 @lru_cache(maxsize=64)
 def _junctions(omega: OmegaSequence, m: int) -> tuple[str, ...]:
-    """The junction words B * Lambda_s * B of level m: B is the block-word
-    prefix of 2^m - 1 letters, s each symbol occurring in omega from position
+    """The junction words B * Lambda_s * B of level m: B is the block word
+    B_m of 2^m - 1 letters, s each symbol occurring in omega from position
     m on, in increasing order. A window of length n <= 2^m meets at most one
     position divisible by 2^m, so it lies in one junction word, and every
     junction occurs: their length-n windows are exactly the admissible words,
     for every ultimately periodic omega (a long-prefix scan is not exact when
     a symbol first recurs late)."""
     _require_not_constant(omega)
-    b = gamma_word(omega, (1 << m) - 1)
+    b = _block_word(omega, m)
     return tuple(f"{b}{s}{b}" for s in sorted(omega.symbols_from(m)))
 
 
@@ -68,15 +61,17 @@ def _windows(words, n: int):
             yield j[i : i + n]
 
 
-@lru_cache(maxsize=65536)
-def language(omega: OmegaSequence, n: int) -> frozenset[str]:
-    """The exact set of admissible words of length n (see `_junctions`)."""
-    if n < 0:
-        raise ValueError("length must be >= 0")
-    _require_not_constant(omega)
-    if n == 0:
-        return frozenset({""})
-    return frozenset(_windows(_junctions(omega, _level_for(n)), n))
+def _factor_spots(words, n: int) -> list[tuple[str, int]]:
+    """One (word, start) per distinct length-n window of the words, its first
+    start in reading order, in sorted window order: a stable sort of every
+    start, comparing windows slice by slice, so no window is stored."""
+
+    def compare(a: tuple[str, int], b: tuple[str, int]) -> int:
+        u, v = a[0][a[1] : a[1] + n], b[0][b[1] : b[1] + n]
+        return (u > v) - (u < v)
+
+    spots = sorted(((j, i) for j in words for i in range(len(j) - n + 1)), key=cmp_to_key(compare))
+    return [s for k, s in enumerate(spots) if k == 0 or compare(spots[k - 1], s)]
 
 
 def complexity(omega: OmegaSequence, n: int) -> int:

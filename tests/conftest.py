@@ -5,6 +5,7 @@ from hypothesis import HealthCheck, settings
 
 from grigorchuk import OmegaSequence, parse_omega, ruler_a
 from grigorchuk.group import _partner
+from grigorchuk.subshift import _junctions, _level_for, _windows
 
 settings.register_profile(
     "det",
@@ -48,6 +49,12 @@ def block_letters(omega: OmegaSequence, first: int, last: int) -> str:
     return "".join(
         ["T" if p % 2 else str(omega.at(ruler_a(p // 2))) for p in range(first, last + 1)]
     )
+
+
+def language(omega: OmegaSequence, n: int) -> frozenset[str]:
+    """Oracle for the sorted factor stream: the admissible words of length n
+    as a set, every length-n window of the junction words of the level for n."""
+    return frozenset(_windows(_junctions(omega, _level_for(n)), n))
 
 
 def fixing_generator(prefix: str, omega: OmegaSequence) -> str:

@@ -14,7 +14,7 @@ import grigorchuk
 from grigorchuk import battery, fullgroup as fg, parse_omega, schreier, subshift
 from grigorchuk.cli import _graph_json, main
 
-from conftest import SUITE_SPECS, fixing_generator
+from conftest import SUITE_SPECS, fixing_generator, language
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -111,6 +111,21 @@ class TestLanguage:
         for n in ("0", "2"):
             code, _, err = run(capsys, "language", "--omega", "0:1", "--n", n)
             assert code == 3 and "eventually constant" in err
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 64])
+    def test_streamed_layouts_match_joined_text(self, capsys, suite, n):
+        # oracle: each layout written in one piece from the sorted set
+        for w in suite:
+            words = [subshift.render_word(u) for u in sorted(language(w, n))]
+            header = f"omega={w.spec()} n={n} count={len(words)}"
+            layouts = {
+                "text": f"{header}\n" + "\n".join(words) + "\n",
+                "tsv": f"{header}\n" + "\t".join(words) + "\n",
+                "json": json.dumps({"header": header, "words": words}, sort_keys=True, indent=2) + "\n",
+            }
+            for fmt, expected in layouts.items():
+                code, out, _ = run(capsys, "language", "--omega", w.spec(), "--n", str(n), "--format", fmt)
+                assert (code, out) == (0, expected), (w.spec(), fmt)
 
 
 class TestComplexity:
@@ -241,6 +256,15 @@ class TestBallOrbitEmbedDouble:
     def test_double_bound_table(self, capsys):
         code, out, _ = run(capsys, "double", "--omega", "012", "--max-n", "8")
         assert code == 0 and "FAIL" not in out
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 64])
+    def test_double_words_match_sorted_set(self, capsys, suite, n):
+        for w in suite:
+            code, out, _ = run(capsys, "double", "--omega", w.spec(), "--max-n", "0", "--words", str(n))
+            words = [subshift.render_word(u) for u in sorted(subshift.double_language(w, n))]
+            expected = [f"omega={w.spec()} max_n=0", "n\trho_Y\tbound\tverdict",
+                        f"words n={n} count={len(words)}", *words]
+            assert (code, out) == (0, "\n".join(expected) + "\n"), w.spec()
 
 
 class TestVerify:
@@ -405,6 +429,21 @@ def test_output_file_keeps_a_failing_exit_code(capsys, monkeypatch, tmp_path):
     code, out, _ = run(capsys, "verify", "--quick", "-o", str(target))
     assert code == 1 and out == ""
     assert "FAIL relations_map_to_identity: stub" in target.read_text().splitlines()
+
+
+@pytest.mark.parametrize("argv, err", [
+    (("language", "--omega", "012", "--n", "-1"), "error: length must be >= 0\n"),
+    (("language", "--omega", "0:1", "--n", "-1"), "error: length must be >= 0\n"),
+    (("double", "--omega", "012", "--words", "0"), "error: length must be >= 1\n"),
+    (("double", "--omega", "012", "--words", "-3"), "error: length must be >= 1\n"),
+], ids=["language-negative", "language-negative-constant", "double-zero", "double-negative"])
+def test_bad_listing_length_exits_2_before_any_output(capsys, tmp_path, argv, err):
+    # a streamed listing checks its length before its first chunk: nothing is
+    # printed and no -o file is made; the length check precedes the omega guard
+    target = tmp_path / "F"
+    for extra in ((), ("-o", str(target))):
+        assert run(capsys, *argv, *extra) == (2, "", err)
+    assert not target.exists()
 
 
 def test_usage_error_exits_2(capsys):

@@ -31,7 +31,6 @@ from grigorchuk import (
     inverse,
     is_identity,
     is_trivial,
-    language,
     parse_omega,
     ray_at,
     schreier_consistency,
@@ -45,9 +44,10 @@ from grigorchuk import fullgroup, group
 from grigorchuk.fullgroup import InsufficientWindowError, _gen
 from grigorchuk.group import find_moved_vertex
 from grigorchuk.omega import EventuallyConstantOmegaError
+from grigorchuk.schreier import _block_word
 from grigorchuk.subshift import _junctions, _level_for, _windows
 
-from conftest import block_letters
+from conftest import block_letters, language
 
 words = st.text(alphabet="abcd", max_size=8)
 DEEP_PREPERIOD = "2" * 60 + ":01"
@@ -349,8 +349,7 @@ class TestJunctionWalk:
 
     def test_degenerate_check_keeps_no_language(self, suite):
         # the check's r0 order bound of 64 once read language(012, 1024) and
-        # language(012, 512), about 4 MB that the language cache kept until exit
-        language.cache_clear()
+        # language(012, 512), about 4 MB that a language cache kept until exit
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -742,14 +741,13 @@ class TestDump:
 class TestSchreierWindow:
     def test_matches_gamma_letters(self, suite):
         # the window reads its own letters; the block word prefix is the oracle
-        from grigorchuk import gamma_word
-
         for w in suite:
             for k in range(1, 12):
                 for center in range((1 << k) - 2, (1 << k) + 3):
                     for radius in range(1, min(center, 4) + 1):
                         window = schreier_window(w, center, radius)
-                        expected = gamma_word(w, center + radius)[center - radius :]
+                        end = center + radius
+                        expected = _block_word(w, end.bit_length())[center - radius : end]
                         assert window.letters == expected
 
     def test_matches_positional_letters(self, suite):

@@ -1,8 +1,10 @@
 """Language tests. The independent oracle is a brute factor scan of a long
-graph-word prefix; the library computes languages by the level decomposition
-instead, and the two must agree wherever the scan premise holds. `complexity`
-reads no factor at all, and is checked against the window count of one length
-and against a suffix automaton of the junction words."""
+graph-word prefix; the library lists factors by the level decomposition
+instead, as one sorted stream, and the two must agree wherever the scan
+premise holds. The set of junction windows (`language` in conftest) is the
+oracle of the stream. `complexity` reads no factor at all, and is checked
+against the window count of one length and against a suffix automaton of the
+junction words."""
 
 import random
 import tracemalloc
@@ -16,9 +18,7 @@ from grigorchuk import (
     complexity,
     double_language,
     extensions,
-    gamma_word,
     is_admissible,
-    language,
     parse_omega,
     render_word,
     ruler_a,
@@ -26,9 +26,12 @@ from grigorchuk import (
     uniform_recurrence_radius,
 )
 from grigorchuk.omega import EventuallyConstantOmegaError, OmegaSequence
-from grigorchuk.subshift import ALPHABET, _junctions, _level_for, _windows
+from grigorchuk.schreier import _block_word
+from grigorchuk.subshift import (
+    ALPHABET, _doubled_junctions, _factor_spots, _junctions, _level_for, _windows,
+)
 
-from conftest import block_letters
+from conftest import block_letters, language
 
 
 def scan_factors(omega, n: int) -> frozenset:
@@ -44,8 +47,13 @@ def scan_factors(omega, n: int) -> frozenset:
         while omega.at(m - 1 + v) != s:
             v += 1
         worst = max(worst, (1 << (v - 1)) + 1)
-    w = gamma_word(omega, (worst + 1) << m)
+    w = block_letters(omega, 1, (worst + 1) << m)
     return frozenset(w[i : i + n] for i in range(len(w) - n + 1))
+
+
+def factors(omega, n: int) -> list[str]:
+    """The sorted factor stream of the level-n junction words, read as words."""
+    return [j[i : i + n] for j, i in _factor_spots(_junctions(omega, _level_for(n)), n)]
 
 
 def complexity_by_windows(omega, n: int) -> int:
@@ -150,60 +158,85 @@ def interleave(word: str, n: int, z_first: bool) -> str:
 
 
 class TestGammaWord:
+    """The block word B_m that the junction words of level m are made of:
+    its first k letters are those of the half-line graph from vertex 0."""
+
     def test_prefix(self, omega012):
-        assert gamma_word(omega012, 4) == "T0T1"
+        assert _block_word(omega012, 3)[:4] == "T0T1"
 
     def test_odd_positions_theta(self, suite):
         for w in suite:
-            word = gamma_word(w, 101)
+            word = _block_word(w, 7)[:101]
             assert all(word[p] == "T" for p in range(0, 101, 2))
 
     def test_even_positions_ruler(self, suite):
         for w in suite:
-            word = gamma_word(w, 100)
+            word = _block_word(w, 7)[:100]
             for i in range(1, 50):
                 assert word[2 * i - 1] == str(w.at(ruler_a(i)))
 
     @pytest.mark.parametrize("k", [0, 1, 4, 100, 101])
     def test_matches_positional_letters(self, suite, k):
         for w in suite:
-            assert gamma_word(w, k) == block_letters(w, 1, k)
-
-    def test_rejects_negative_length(self, omega012):
-        with pytest.raises(ValueError):
-            gamma_word(omega012, -1)
+            assert _block_word(w, k.bit_length())[:k] == block_letters(w, 1, k)
 
 
 class TestLanguage:
     def test_length1(self, omega012):
-        assert language(omega012, 1) == frozenset("T012")
+        assert factors(omega012, 1) == sorted("T012")
 
     def test_length2(self, omega012):
-        assert language(omega012, 2) == frozenset({"T0", "T1", "T2", "0T", "1T", "2T"})
+        assert factors(omega012, 2) == sorted({"T0", "T1", "T2", "0T", "1T", "2T"})
 
     def test_alternation(self, suite):
         for w in suite:
-            for word in language(w, 7):
+            for word in factors(w, 7):
                 thetas = {i for i, c in enumerate(word) if c == "T"}
                 assert thetas in ({0, 2, 4, 6}, {1, 3, 5})
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 16, 21, 32, 50])
     def test_exactness_against_scan(self, suite, n):
         for w in suite:
-            factors = scan_factors(w, n)
-            assert language(w, n) == factors
-            assert complexity(w, n) == len(factors)
+            scanned = scan_factors(w, n)
+            assert factors(w, n) == sorted(scanned)
+            assert complexity(w, n) == len(scanned)
 
     def test_factor_closure(self, suite):
         for w in suite:
             for n in range(2, 24):
-                smaller = language(w, n - 1)
-                for word in language(w, n):
+                smaller = set(factors(w, n - 1))
+                for word in factors(w, n):
                     assert word[:-1] in smaller and word[1:] in smaller
 
     def test_eventually_constant_rejected(self):
         with pytest.raises(EventuallyConstantOmegaError):
-            language(parse_omega("0:1"), 3)
+            factors(parse_omega("0:1"), 3)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 64, 300, 1000, 2049, 4096])
+    def test_stream_matches_sorted_sets(self, suite, n):
+        # one spot per distinct window, its first start: in window order the
+        # sorted set, in reading order the windows as first seen; the doubled
+        # stream is the sorted doubled language
+        for w in suite:
+            words = _junctions(w, _level_for(n))
+            spots = _factor_spots(words, n)
+            assert [j[i : i + n] for j, i in spots] == sorted(language(w, n)), w.spec()
+            spots.sort(key=lambda spot: (words.index(spot[0]), spot[1]))
+            first_seen = list(dict.fromkeys(_windows(words, n)))
+            assert [j[i : i + n] for j, i in spots] == first_seen, w.spec()
+            if n:
+                doubled = _factor_spots(_doubled_junctions(w, _level_for((n + 1) // 2)), n)
+                assert [j[i : i + n] for j, i in doubled] == sorted(double_language(w, n)), w.spec()
+
+    @given(st.lists(st.text(alphabet="T01z", max_size=12), max_size=4), st.integers(0, 6))
+    def test_spots_of_any_words(self, words, n):
+        # any words, some shorter than n: each distinct window once, at the
+        # first start met reading the words in order
+        first = {}
+        for j in words:
+            for i in range(len(j) - n + 1):
+                first.setdefault(j[i : i + n], (j, i))
+        assert _factor_spots(words, n) == [first[u] for u in sorted(first)]
 
     def test_occurring_symbols(self):
         assert parse_omega("2:0112").symbols_from(2) == {0, 1, 2}
@@ -248,9 +281,9 @@ class TestComplexity:
         # levels 2..8 on 012 and 10:012 and levels 2..7 on 01, 02 and 2:01
         # (2*7 + 3*6 = 32 (omega, level) keys), and the doubling check's levels
         # 1..6 add level 1 on each omega: 37 keys, held without evicting. The
-        # caches built on the junction words are cleared too, so the count
-        # does not depend on the tests that ran before.
-        for cache in (_junctions, language, double_language):
+        # doubled-language cache built on the junction words is cleared too,
+        # so the count does not depend on the tests that ran before.
+        for cache in (_junctions, double_language):
             cache.cache_clear()
         for check in (
             battery.check_complexity_bounds,
@@ -320,11 +353,11 @@ class TestAdmissibility:
         assert not is_admissible("00", omega012)
 
     def test_factors_of_prefix_admissible(self, omega012):
-        word = gamma_word(omega012, 500)
+        word = block_letters(omega012, 1, 500)
         for i in range(0, 480, 7):
             assert is_admissible(word[i : i + 11], omega012)
         for n, step in ((300, 37), (1023, 101)):
-            word = gamma_word(omega012, 4 * n)
+            word = block_letters(omega012, 1, 4 * n)
             for i in range(0, 3 * n, step):
                 assert is_admissible(word[i : i + n], omega012)
 
