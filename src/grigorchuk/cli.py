@@ -38,9 +38,10 @@ def _lines(lines: Iterable[str]) -> Iterator[str]:
 
 
 def _spelled(spots: list[tuple[str, int]], n: int, sep: str) -> Iterator[str]:
-    """The length-n windows at the spots, spelled, `sep` before all but the first."""
+    """The length-n windows at the spots, spelled, `sep` before all but the
+    first; junction words hold only block letters and markers."""
     for k, (j, i) in enumerate(spots):
-        yield f"{sep if k else ''}{subshift.render_word(j[i : i + n])}"
+        yield f"{sep if k else ''}{subshift._spell(j[i : i + n])}"
 
 
 def _graph_json(g: schreier.LabeledGraph) -> Iterator[str]:

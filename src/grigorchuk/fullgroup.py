@@ -10,8 +10,10 @@ the marked vertex, so the element acts as x -> shift^{n(x)}(x).
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import groupby
 from math import lcm
 
 from .group import GEN_SYMBOL, _check_word, apply_word, find_moved_vertex
@@ -24,6 +26,9 @@ from .subshift import (
 
 _LABEL_CAP = 120
 _CYLINDER_MAX_LEN = 24
+# A junction word with at most this many centres is walked letter by letter:
+# compiling a short program against its move tables costs about a few walks.
+_FEW_CENTRES = 16
 
 
 class InsufficientWindowError(ValueError):
@@ -144,6 +149,60 @@ def _step(f: tuple, letters: str, center: int) -> int:
     raise AssertionError(f"unknown kind {kind}")
 
 
+@lru_cache(maxsize=64)
+def _moves(j: str) -> dict[str, list[int]]:
+    """Where each generator moves each vertex 0..len(j) of the half-line graph
+    read off the junction word j, by the rule of `_eval`: one list for a
+    (key "") and one for each block symbol that b, c or d loops on. The end
+    vertices 0 and len(j), where `_eval` raises, go to the sink len(j) + 1,
+    past the end of every list, so the next lookup raises and no index is
+    negative. The entries are the objects of one range list, shared."""
+    v = list(range(len(j) + 2))
+    sink, inner = v[-1], list(zip(v, v[1:], v[2:], j, j[1:]))  # c - 1, c, c + 1, j[c - 1], j[c]
+    moves = {"": [sink, *(n if x == "T" else p for p, _, n, _, x in inner), sink]}
+    for s in "012":
+        moves[s] = [sink, *((c if x == s else n) if x != "T" else (c if y == s else p)
+                            for p, c, n, y, x in inner), sink]
+    return moves
+
+
+def _walker(e: FullGroupElement, j: str) -> Callable[[str, int], int]:
+    """`e._eval` on the junction word j, for walks from many centres of it:
+    e's program compiled once, each run of generator factors a list of j's
+    `_moves` tables, walked by one lookup per letter; other factors go
+    through `_step` with `_eval`'s bounds."""
+    size, program = len(j), []
+    for is_gen, run in groupby(e.factors, lambda f: f[0] == "gen"):
+        if is_gen:
+            moves = _moves(j)
+            program.append([moves[f[3]] for f in run])
+        else:
+            program += run
+
+    def walk(letters: str, center: int) -> int:  # letters is j
+        c = center
+        for part in program:
+            if type(part) is list:
+                if c >= 0:  # a negative index would read from the end
+                    try:
+                        for table in part:
+                            c = table[c]
+                    except IndexError:  # a lookup at the sink, or past it
+                        c = -1
+                inside = 0 <= c <= size
+            else:
+                inside = part[1] <= c <= size - part[1]
+                if inside:
+                    c += _step(part, letters, c)
+            if not inside:
+                raise InsufficientWindowError(f"walk from vertex {center} leaves a word of {size} letters")
+        if abs(c - center) > e.dbound:
+            raise RuntimeError(f"displacement {c - center} exceeds bound {e.dbound} for {e.label}")
+        return c - center
+
+    return walk
+
+
 def _gen(letter: str) -> tuple:
     """The generator factor; b, c, d carry the block symbol they loop on."""
     return ("gen", 1, 1, str(GEN_SYMBOL[letter]) if letter != "a" else "")
@@ -222,7 +281,8 @@ def element_order_fg(e: FullGroupElement, max_order: int) -> int | None:
     r doubling from 1. Every point carries some j around its marked vertex at
     such a c, and j is admissible, so a walk inside j is exact even past
     [c - r, c + r); one that leaves j raises and r doubles. Reading order is
-    free: a return settles every wider window, and a failure stays failed."""
+    free: a return settles every wider window, and a failure stays failed.
+    The walks in a j of more than `_FEW_CENTRES` centres share one `_walker`."""
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
     widest, r = e.radius + (max_order - 1) * e.dbound, 1
@@ -233,10 +293,11 @@ def element_order_fg(e: FullGroupElement, max_order: int) -> int | None:
         order = 1
         try:
             for j in words:
+                walk = _walker(e, j) if len(j) - 2 * r + 1 > _FEW_CENTRES else e._eval
                 for c in range(r, len(j) - r + 1):
-                    n, t = e._eval(j, c), 1
+                    n, t = walk(j, c), 1
                     while n and t < max_order:
-                        n += e._eval(j, c + n)
+                        n += walk(j, c + n)
                         t += 1
                     if n:
                         return None
@@ -402,5 +463,6 @@ def dump_element(e: FullGroupElement) -> Iterator[str]:
     spots = _factor_spots(words, length)
     if e.tag == "A" and length > 2048:  # junction by junction, then by start
         spots.sort(key=lambda spot: (words.index(spot[0]), spot[1]))
+    walks = {j: _walker(e, j) for j in words}
     for j, i in spots:  # j extends the window, so the cocycle read in j is exact
-        yield f"  {j[i : i + length]} -> {e._eval(j, i + e.radius):+d}\n"
+        yield f"  {j[i : i + length]} -> {walks[j](j, i + e.radius):+d}\n"

@@ -111,7 +111,8 @@ def apply_word(word: str, v: str, omega: OmegaSequence) -> str:
         x = v[len(digits)]
         swap, s0, s1 = _sections(w, omega.at(len(digits) + 1))
         digits.append(_flip(x) if swap else x)
-        w = _normalize(s0 if x == "0" else s1)
+        # past the last digit nothing reads the section
+        w = _normalize(s0 if x == "0" else s1) if len(digits) < len(v) else ""
     rest = v[len(digits):]
     if w and rest:
         rest = apply_generator(w, rest, omega.shift(len(digits)))

@@ -24,6 +24,11 @@ def render_word(word: str) -> str:
     """Dump spelling: T, L0, L1, L2, z."""
     if word.translate(_DROP_LETTERS):
         raise ValueError(f"letters must be in {ALPHABET + MARKER!r}, got {word!r}")
+    return _spell(word)
+
+
+def _spell(word: str) -> str:
+    """`render_word` for letters known to be in the alphabet, unchecked."""
     return word.replace("0", "L0").replace("1", "L1").replace("2", "L2")
 
 

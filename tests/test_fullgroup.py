@@ -4,6 +4,8 @@ witnesses, and the doubled system."""
 import hashlib
 import random
 import tracemalloc
+from functools import partial
+from itertools import product
 from math import lcm
 
 import pytest
@@ -15,6 +17,7 @@ from grigorchuk import (
     apply_word,
     battery,
     commutator_identity_check,
+    complexity,
     compose,
     double_element,
     double_language,
@@ -41,7 +44,7 @@ from grigorchuk import (
     witness_window,
 )
 from grigorchuk import fullgroup, group
-from grigorchuk.fullgroup import InsufficientWindowError, _gen
+from grigorchuk.fullgroup import InsufficientWindowError, _gen, _moves, _walker
 from grigorchuk.group import find_moved_vertex
 from grigorchuk.omega import EventuallyConstantOmegaError
 from grigorchuk.schreier import _block_word
@@ -358,6 +361,94 @@ class TestJunctionWalk:
         finally:
             tracemalloc.stop()
         assert kept < 2**19, kept
+
+
+def walk_outcomes(walk, centers):
+    """The displacement of each walk, None where it leaves its word."""
+    out = []
+    for c in centers:
+        try:
+            out.append(walk(c))
+        except InsufficientWindowError:
+            out.append(None)
+    return out
+
+
+class TestMoveTables:
+    """element_order_fg and dump_element walk the generators by `_moves`
+    tables; the per-letter `_eval` is their reference at every centre of the
+    junction words, one off each end included. Each family of words is spread
+    over the suite, one omega per word in turn."""
+
+    @staticmethod
+    def _assert_walks_match(elements, levels):
+        left = 0
+        for e in elements:
+            for m in levels:
+                for j in _junctions(e.omega, m):
+                    centers = range(-1, len(j) + 2)
+                    expected = walk_outcomes(partial(e._eval, j), centers)
+                    assert walk_outcomes(partial(_walker(e, j), j), centers) == expected, (e.omega.spec(), m, e.label)
+                    left += expected.count(None)
+        assert left  # some walks reach an end vertex
+
+    def test_tables_are_one_letter_walks(self, suite):
+        for w in suite:
+            for m in range(1, 8):
+                for j in _junctions(w, m):
+                    sink, moves = len(j) + 1, _moves(j)
+                    for g in "abcd":
+                        moved = [sink if d is None else c + d for c, d in
+                                 enumerate(walk_outcomes(partial(embed_word(g, w)._eval, j), range(len(j) + 1)))]
+                        assert moves[_gen(g)[3]] == moved, (w.spec(), m, g)
+
+    def test_words_of_at_most_four_letters(self, suite):
+        # a walk of 4 letters reads at most 8 letters around its centre, and
+        # every admissible word of 8 letters lies in a level-3 junction word
+        words = ["".join(p) for k in range(5) for p in product("abcd", repeat=k)]
+        assert len(words) == 341
+        self._assert_walks_match((embed_word(u, suite[k % 5]) for k, u in enumerate(words)), range(1, 5))
+
+    def test_random_words(self, suite):
+        # a level-6 junction word has 127 letters: walks of at most 40 letters
+        # leave it from some centres and stay inside from others
+        rng = random.Random(43)
+        words = ["".join(rng.choice("abcd") for _ in range(rng.randint(8, 40))) for _ in range(50)]
+        self._assert_walks_match((embed_word(u, suite[k % 5]) for k, u in enumerate(words)), range(1, 7))
+
+    def test_trivial_conjugates(self, suite):
+        rng = random.Random(44)
+        elements = []
+        for k, n in enumerate((120, 240, 360, 480)):
+            u = "".join(rng.choice("abcd") for _ in range(n // 2))
+            elements.append(embed_word(u + u[::-1], suite[k]))
+            assert is_identity(elements[-1])
+        self._assert_walks_match(elements, range(1, 7))
+
+    def test_mixed_programs(self, suite):
+        # runs of generator tables between sigma, ret and shift factors
+        elements = []
+        for w in suite:
+            u = find_disjoint_cylinder(w, 3)
+            s01, r0 = swap_involution(u, 0, 1, w), first_return_element(u, w)
+            g, h = embed_word("abcad", w), embed_word("dacb", w)
+            elements += [
+                compose(g, compose(s01, h)), compose(r0, g), compose(g, compose(r0, inverse(g))),
+                compose(shift_power(3, w), compose(h, compose(swap_involution(u, 1, 2, w), g))),
+            ]
+        self._assert_walks_match(elements, range(1, 8))
+
+    def test_walk_leaving_the_word_raises(self, omega012):
+        # from vertex 1, a crosses the simple edge T to the end vertex 0,
+        # where the second a would read the letter before the word
+        j = _junctions(omega012, 2)[0]
+        e = embed_word("aa", omega012)
+        for evaluate in (partial(e._eval, j), partial(_walker(e, j), j)):
+            assert evaluate(2) == 0
+            with pytest.raises(InsufficientWindowError):
+                evaluate(1)
+            with pytest.raises(InsufficientWindowError):
+                evaluate(-3)  # never read from the other end
 
 
 class TestLongWords:
@@ -724,6 +815,20 @@ class TestDump:
         e = embed_word("ab", omega012)
         f = embed_word("ab", omega012)
         assert "".join(dump_element(e)) == "".join(dump_element(f))
+
+    def test_dump_is_the_cocycle_table(self, suite):
+        # the table walk against the per-letter cocycle of each listed window;
+        # 1025 letters take the windows past 2048 letters, and there every
+        # 16th row is read, the per-letter walks costing 0.7 s for all 3076
+        words = [("012", "a", 1), ("01", "abcd", 1), ("2:01", "acab" * 4, 1),
+                 ("10:012", "dabcadba" * 3, 1), ("02", "ab" * 512 + "a", 16)]
+        for spec, word, stride in words:
+            e = embed_word(word, parse_omega(spec))
+            rows = "".join(dump_element(e)).split("table:\n")[1].splitlines()
+            assert len(rows) == complexity(e.omega, 2 * e.radius)
+            for row in rows[::stride]:
+                window, _, value = row.split()
+                assert int(value) == e.cocycle(Window(e.radius, window)), (spec, word, window)
 
     def test_dump_past_2048_lists_each_window_once(self, omega012):
         # Windows of length 2202 are streamed junction by junction, repeats
