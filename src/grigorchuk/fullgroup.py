@@ -20,8 +20,8 @@ from .group import GEN_SYMBOL, _check_word, apply_word, find_moved_vertex
 from .omega import OmegaSequence
 from .schreier import _block_word, gray_rank, ray_at, ruler_a
 from .subshift import (
-    MARKER, _doubled_junctions, _factor_spots, _junctions, _level_for, _occurrences,
-    _require_not_constant, is_admissible, uniform_recurrence_radius,
+    MARKER, _doubled_junctions, _factor_spots, _first_spots, _junctions, _level_for,
+    _occurrences, _require_not_constant, is_admissible, uniform_recurrence_radius,
 )
 
 _LABEL_CAP = 120
@@ -460,9 +460,7 @@ def dump_element(e: FullGroupElement) -> Iterator[str]:
     length = 2 * e.radius
     words = (_doubled_junctions(e.omega, _level_for(e.radius)) if e.tag == "B"
              else _junctions(e.omega, _level_for(length)))
-    spots = _factor_spots(words, length)
-    if e.tag == "A" and length > 2048:  # junction by junction, then by start
-        spots.sort(key=lambda spot: (words.index(spot[0]), spot[1]))
+    spots = (_first_spots if e.tag == "A" and length > 2048 else _factor_spots)(words, length)
     walks = {j: _walker(e, j) for j in words}
     for j, i in spots:  # j extends the window, so the cocycle read in j is exact
         yield f"  {j[i : i + length]} -> {walks[j](j, i + e.radius):+d}\n"

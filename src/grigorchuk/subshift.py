@@ -59,6 +59,25 @@ def _junctions(omega: OmegaSequence, m: int) -> tuple[str, ...]:
     return tuple(f"{b}{s}{b}" for s in sorted(omega.symbols_from(m)))
 
 
+@lru_cache(maxsize=64)
+def _digit_text(omega: OmegaSequence, m: int) -> str:
+    """The digits of the level-m junction words, joined by '|'. T fills every
+    even place of a junction word, so j[1::2] is its 2^m - 1 digits, and
+    digit i of junction q sits at q * 2^m + i."""
+    return "|".join(j[1::2] for j in _junctions(omega, m))
+
+
+def _digits_of(word: str) -> tuple[int, str] | None:
+    """(phase, digits) of a word over T012: phase 0 when it starts with T,
+    digits the letters between its T places. None when T does not fill every
+    other place: TT and two adjacent digits occur in no admissible word."""
+    phase = 0 if word.startswith("T") else 1
+    digits = word[1 - phase :: 2]
+    if "T" in digits or word.count("T") + len(digits) != len(word):
+        return None
+    return phase, digits
+
+
 def _windows(words, n: int):
     """Every window of length n of the words, word by word, repeats included."""
     for j in words:
@@ -77,6 +96,21 @@ def _factor_spots(words, n: int) -> list[tuple[str, int]]:
 
     spots = sorted(((j, i) for j in words for i in range(len(j) - n + 1)), key=cmp_to_key(compare))
     return [s for k, s in enumerate(spots) if k == 0 or compare(spots[k - 1], s)]
+
+
+def _first_spots(words, n: int) -> list[tuple[str, int]]:
+    """One (word, start) per distinct length-n window of the words, its first
+    start, in reading order. The spots are filed by the hash of their window
+    and a repeat is told by comparing in place, so no window is stored."""
+    spots, filed = [], {}
+    for j in words:
+        for i in range(len(j) - n + 1):
+            u = j[i : i + n]
+            same = filed.setdefault(hash(u), [])
+            if not any(k.startswith(u, s) for k, s in same):
+                same.append((j, i))
+                spots.append((j, i))
+    return spots
 
 
 def complexity(omega: OmegaSequence, n: int) -> int:
@@ -128,18 +162,31 @@ def _require_letters(word: str) -> None:
 
 
 def _occurrences(word: str, omega: OmegaSequence, m: int) -> Iterator[tuple[str, int]]:
-    """(j, i) for each start i of the word in each level-m junction word j."""
-    for j in _junctions(omega, m):
-        i = j.find(word)
-        while i >= 0:
-            yield j, i
-            i = j.find(word, i + 1)
+    """(j, i) for each start i of the word in each level-m junction word j,
+    junction by junction, then by start. A hit k of the word's digits in the
+    digit text is digit k % 2^m of junction k // 2^m, and '|' matches no
+    digit, so no hit straddles two junctions; T fills the places between.
+    The empty word starts at every place 0..len(j)."""
+    junctions = _junctions(omega, m)
+    if not word:
+        yield from ((j, i) for j in junctions for i in range(len(j) + 1))
+        return
+    split = _digits_of(word)
+    if split is None:
+        return
+    (phase, digits), text, stride = split, _digit_text(omega, m), 1 << m
+    k = text.find(digits)
+    while k >= 0:
+        yield junctions[k // stride], 2 * (k % stride) + phase
+        k = text.find(digits, k + 1)
 
 
 def is_admissible(word: str, omega: OmegaSequence) -> bool:
-    """Membership is a substring search in the junction words."""
+    """Membership is one search of the word's digits in the digit text of the
+    junction words of its level, half their letters."""
     _require_letters(word)
-    return any(word in j for j in _junctions(omega, _level_for(len(word))))
+    split = _digits_of(word)
+    return split is not None and split[1] in _digit_text(omega, _level_for(len(word)))
 
 
 def extensions(word: str, omega: OmegaSequence, side: str) -> frozenset[str]:
@@ -149,15 +196,17 @@ def extensions(word: str, omega: OmegaSequence, side: str) -> frozenset[str]:
     length, so c + word (or word + c) is admissible exactly when c stands
     beside some occurrence inside a junction word. The subshift is minimal, so
     every admissible word extends on both sides: no letter found means the
-    word is not admissible."""
+    word is not admissible. Beside a digit stands T in every occurrence, so
+    there the first occurrence settles the answer."""
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     _require_letters(word)
     offset = -1 if side == "left" else len(word)
-    letters = {
-        j[i + offset] for j, i in _occurrences(word, omega, _level_for(len(word) + 1))
-        if 0 <= i + offset < len(j)
-    }
+    occurrences = _occurrences(word, omega, _level_for(len(word) + 1))
+    if (word[:1] if side == "left" else word[-1:]).isdigit():
+        letters = {"T"} if next(occurrences, None) else set()
+    else:
+        letters = {j[i + offset] for j, i in occurrences if 0 <= i + offset < len(j)}
     if not letters:
         raise ValueError(f"word {render_word(word)} is not admissible")
     return frozenset(letters)

@@ -17,6 +17,8 @@ settings.register_profile(
 settings.load_profile("det")
 
 SUITE_SPECS = ("012", "01", "02", "2:01", "10:012")
+# the suite, a late-recurring symbol (0:0112, 21:0012) and a long preperiod
+ORACLE_SPECS = (*SUITE_SPECS, "0:0112", "21:0012", "2" * 6 + ":01")
 
 
 @pytest.fixture(scope="session")
@@ -63,3 +65,21 @@ def fixing_generator(prefix: str, omega: OmegaSequence) -> str:
     rho, read off the string path of the action: the ray acts as the vertex
     prefix + "1"."""
     return _partner(prefix + "1", omega)[0]
+
+
+def occurrences_by_letters(word: str, omega: OmegaSequence, m: int):
+    """Oracle for `subshift._occurrences`: (j, i) for each start i of the word
+    in each level-m junction word j, by a `find` loop over the letters."""
+    for j in _junctions(omega, m):
+        i = j.find(word)
+        while i >= 0:
+            yield j, i
+            i = j.find(word, i + 1)
+
+
+def admissible_by_letters(word: str, omega: OmegaSequence) -> bool:
+    """Oracle for `is_admissible`: the word is a substring of a junction word
+    of its level, letters and all."""
+    if set(word) - set("T012"):
+        raise ValueError(f"letters must be in 'T012', got {word!r}")
+    return any(word in j for j in _junctions(omega, _level_for(len(word))))

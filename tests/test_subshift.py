@@ -28,10 +28,13 @@ from grigorchuk import (
 from grigorchuk.omega import EventuallyConstantOmegaError, OmegaSequence
 from grigorchuk.schreier import _block_word
 from grigorchuk.subshift import (
-    ALPHABET, _doubled_junctions, _factor_spots, _junctions, _level_for, _windows,
+    ALPHABET, _digit_text, _doubled_junctions, _factor_spots, _first_spots, _junctions,
+    _level_for, _occurrences, _windows,
 )
 
-from conftest import block_letters, language
+from conftest import (
+    ORACLE_SPECS, admissible_by_letters, block_letters, language, occurrences_by_letters,
+)
 
 
 def scan_factors(omega, n: int) -> frozenset:
@@ -54,6 +57,16 @@ def scan_factors(omega, n: int) -> frozenset:
 def factors(omega, n: int) -> list[str]:
     """The sorted factor stream of the level-n junction words, read as words."""
     return [j[i : i + n] for j, i in _factor_spots(_junctions(omega, _level_for(n)), n)]
+
+
+def first_starts(words, n: int) -> dict:
+    """Each distinct length-n window of the words and its first (word, start),
+    in reading order, the windows held as keys."""
+    first = {}
+    for j in words:
+        for i in range(len(j) - n + 1):
+            first.setdefault(j[i : i + n], (j, i))
+    return first
 
 
 def complexity_by_windows(omega, n: int) -> int:
@@ -113,15 +126,15 @@ def rho_by_automaton(omega, max_n: int) -> list[int]:
 
 
 def extensions_by_membership(word: str, omega, side: str) -> frozenset:
-    """Oracle for `extensions`: one membership search for the word, then one
-    for the word with each letter of the alphabet added on the given side."""
+    """Oracle for `extensions`: one letter search for the word, then one for
+    the word with each letter of the alphabet added on the given side."""
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    if not is_admissible(word, omega):
+    if not admissible_by_letters(word, omega):
         raise ValueError(f"word {render_word(word)} is not admissible")
     if side == "left":
-        return frozenset(c for c in ALPHABET if is_admissible(c + word, omega))
-    return frozenset(c for c in ALPHABET if is_admissible(word + c, omega))
+        return frozenset(c for c in ALPHABET if admissible_by_letters(c + word, omega))
+    return frozenset(c for c in ALPHABET if admissible_by_letters(word + c, omega))
 
 
 def covers_by_gaps(omega, radius: int, n: int) -> bool:
@@ -224,6 +237,7 @@ class TestLanguage:
             spots.sort(key=lambda spot: (words.index(spot[0]), spot[1]))
             first_seen = list(dict.fromkeys(_windows(words, n)))
             assert [j[i : i + n] for j, i in spots] == first_seen, w.spec()
+            assert _first_spots(words, n) == spots, w.spec()
             if n:
                 doubled = _factor_spots(_doubled_junctions(w, _level_for((n + 1) // 2)), n)
                 assert [j[i : i + n] for j, i in doubled] == sorted(double_language(w, n)), w.spec()
@@ -232,11 +246,16 @@ class TestLanguage:
     def test_spots_of_any_words(self, words, n):
         # any words, some shorter than n: each distinct window once, at the
         # first start met reading the words in order
-        first = {}
-        for j in words:
-            for i in range(len(j) - n + 1):
-                first.setdefault(j[i : i + n], (j, i))
+        first = first_starts(words, n)
         assert _factor_spots(words, n) == [first[u] for u in sorted(first)]
+        assert _first_spots(words, n) == list(first.values())
+
+    @pytest.mark.parametrize("n", [0, 1, 3, 7])
+    def test_first_spots_through_hash_collisions(self, monkeypatch, n):
+        # every window filed under one hash: repeats are told apart in place
+        monkeypatch.setattr(subshift, "hash", lambda u: 0, raising=False)
+        words = ["T0T1T0T2T0T1T0T", "0T1T0", "", "T0T1T0T2T0T1T0T"]
+        assert _first_spots(words, n) == list(first_starts(words, n).values())
 
     def test_occurring_symbols(self):
         assert parse_omega("2:0112").symbols_from(2) == {0, 1, 2}
@@ -280,19 +299,25 @@ class TestComplexity:
         # `complexity` reads no junction word. The recurrence check scans
         # levels 2..8 on 012 and 10:012 and levels 2..7 on 01, 02 and 2:01
         # (2*7 + 3*6 = 32 (omega, level) keys), and the doubling check's levels
-        # 1..6 add level 1 on each omega: 37 keys, held without evicting. The
-        # doubled-language cache built on the junction words is cleared too,
-        # so the count does not depend on the tests that ran before.
-        for cache in (_junctions, double_language):
+        # 1..6 add level 1 on each omega: 37 keys. The degenerate-witness check
+        # adds level 9 on 012 (38 keys, held without evicting), and its
+        # cylinder 1 is found by occurrence searches in the digit texts of
+        # levels 1 and 2 on 012. The doubled-language cache built on the
+        # junction words is cleared too, so the counts do not depend on the
+        # tests that ran before.
+        for cache in (_junctions, _digit_text, double_language):
             cache.cache_clear()
         for check in (
             battery.check_complexity_bounds,
             battery.check_doubling_bound,
             battery.check_recurrence,
+            battery.check_degenerate_witnesses,
         ):
             assert check(suite, battery.Caps(), battery.DEFAULT_SEED)[0]
         info = _junctions.cache_info()
-        assert info.misses == info.currsize == 37
+        assert info.misses == info.currsize == 38
+        info = _digit_text.cache_info()
+        assert info.misses == info.currsize == 2
 
     def test_matches_automaton_short_omegas(self, short_omegas):
         assert len(short_omegas) == 390
@@ -426,6 +451,79 @@ class TestExtensions:
     def test_inadmissible_message_renders_word(self, omega012):
         with pytest.raises(ValueError, match="word L0L0 is not admissible"):
             extensions("00", omega012, "right")
+
+
+def digit_search_words(omega, rng: random.Random) -> set[str]:
+    """Words for the digit search: factors cut at lengths 2^k - 1, 2^k and
+    2^k + 1 for k <= 10, one-letter mutants of each (off the alternation, and
+    a digit swapped for another), random T012 strings, the empty word, T and
+    each digit."""
+    words = {"", *ALPHABET}
+    for n in sorted({(1 << k) + d for k in range(11) for d in (-1, 0, 1)}):
+        for _ in range(2):
+            j = rng.choice(_junctions(omega, _level_for(n) + 1))
+            start = rng.randint(0, len(j) - n)
+            u = j[start : start + n]
+            words.add(u)
+            if u:
+                p = rng.randrange(n)
+                words.add(u[:p] + rng.choice("012" if u[p] == "T" else "T") + u[p + 1 :])
+                digit_places = range(start % 2 == 0, n, 2)  # j holds T at even places
+                if digit_places:
+                    p = rng.choice(digit_places)
+                    words.add(u[:p] + rng.choice("012".replace(u[p], "")) + u[p + 1 :])
+    for _ in range(60):
+        words.add("".join(rng.choice(ALPHABET) for _ in range(rng.randint(1, 16))))
+    return words
+
+
+class TestDigitSearch:
+    """Membership, extensions and occurrences search the digit text; the
+    oracles in conftest search the letters of the junction words."""
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        rng = random.Random(29)
+        return [(parse_omega(spec), digit_search_words(parse_omega(spec), rng)) for spec in ORACLE_SPECS]
+
+    def test_digit_text_layout(self):
+        for spec in ORACLE_SPECS:
+            w = parse_omega(spec)
+            for m in range(1, 8):
+                text, junctions = _digit_text(w, m), _junctions(w, m)
+                assert len(text) == (len(junctions) << m) - 1
+                for q, j in enumerate(junctions):
+                    assert j[::2] == "T" * (1 << m)
+                    digits = [text[(q << m) + i] for i in range((1 << m) - 1)]
+                    assert digits == [j[2 * i + 1] for i in range((1 << m) - 1)], (spec, m, q)
+                assert text[(1 << m) - 1 :: 1 << m] == "|" * (len(junctions) - 1)
+
+    def test_membership_matches_letters(self, cases):
+        for w, words in cases:
+            for u in words:
+                assert is_admissible(u, w) == admissible_by_letters(u, w), (w.spec(), u)
+
+    def test_extensions_match_letters(self, cases):
+        outcome = TestExtensions.outcome
+        for w, words in cases:
+            for u in words:
+                for side in ("left", "right", "up"):
+                    expected = outcome(extensions_by_membership, u, w, side)
+                    assert outcome(extensions, u, w, side) == expected, (w.spec(), u, side)
+
+    def test_occurrences_match_letters(self, cases):
+        for w, words in cases:
+            for u in words:
+                for m in (_level_for(len(u)), _level_for(len(u)) + 1):
+                    expected = set(occurrences_by_letters(u, w, m))
+                    assert set(_occurrences(u, w, m)) == expected, (w.spec(), u, m)
+
+    def test_foreign_letters(self, omega012):
+        for u in ("0x", "T0T3", "z", "T0T "):
+            with pytest.raises(ValueError, match="letters must be in 'T012'"):
+                admissible_by_letters(u, omega012)
+            with pytest.raises(ValueError, match="letters must be in 'T012'"):
+                is_admissible(u, omega012)
 
 
 class TestRecurrence:
