@@ -101,18 +101,19 @@ def _partner(v: str, omega: OmegaSequence) -> tuple[str, str]:
 def apply_word(word: str, v: str, omega: OmegaSequence) -> str:
     """The action of the word (rightmost letter first) on the tree vertex v,
     a string over 0/1, through the wreath recursion w(xv) = swap(x) section_x(v):
-    one decomposition per digit until the section has at most one letter, then
-    one generator step on the rest of v. Sections contract, so this costs
-    O(|word| + |v|)."""
+    a digit flips on an odd a-count, and the section it enters is split and
+    normalized only if a later digit reads it, until it has at most one
+    letter; one generator step acts on the rest of v. Sections contract from
+    the first level down, so this costs O(|word| + |v|)."""
     _check_word(word)
     _check_vertex(v)
-    w, digits = _normalize(word), []
+    w, digits = word, []
     while len(w) > 1 and len(digits) < len(v):
         x = v[len(digits)]
-        swap, s0, s1 = _sections(w, omega.at(len(digits) + 1))
-        digits.append(_flip(x) if swap else x)
-        # past the last digit nothing reads the section
-        w = _normalize(s0 if x == "0" else s1) if len(digits) < len(v) else ""
+        digits.append(_flip(x) if w.count("a") & 1 else x)
+        if len(digits) < len(v):  # past the last digit nothing reads the section
+            _, s0, s1 = _sections(w, omega.at(len(digits)))
+            w = _normalize(s0 if x == "0" else s1)
     rest = v[len(digits):]
     if w and rest:
         rest = apply_generator(w, rest, omega.shift(len(digits)))
@@ -163,6 +164,8 @@ def _sections(word: str, first: int) -> tuple[bool, str, str]:
 
 @lru_cache(maxsize=262144)
 def _trivial_normalized(word: str, omega: OmegaSequence) -> bool:
+    # Cached for normalized words; is_trivial runs the body on the word as
+    # given, which holds for any word: only its sections are normalized.
     if not word:
         return True
     if len(word) == 1:
@@ -172,9 +175,9 @@ def _trivial_normalized(word: str, omega: OmegaSequence) -> bool:
         # first-level permutation trivial (possible for eventually constant
         # omega, e.g. b over the constant-2 sequence).
         return omega.symbols_from(1) <= {GEN_SYMBOL[word]}
-    swap, s0, s1 = _sections(word, omega.at(1))
-    if swap:
+    if word.count("a") & 1:
         return False
+    _, s0, s1 = _sections(word, omega.at(1))
     shifted = omega.shift(1)
     return _trivial_normalized(_normalize(s0), shifted) and _trivial_normalized(
         _normalize(s1), shifted
@@ -184,10 +187,12 @@ def _trivial_normalized(word: str, omega: OmegaSequence) -> bool:
 def is_trivial(word: str, omega: OmegaSequence) -> bool:
     """Exact word problem: does the word represent the identity of G_omega?
 
-    Contraction argument: sections of a normalized word of length n have
-    length <= ceil((n+1)/2) < n for n >= 2, so the recursion terminates.
+    An odd a-count swaps the root; otherwise the word splits as given and its
+    sections, normalized, contract: sections of a normalized word of length n
+    have length <= ceil((n+1)/2) < n for n >= 2, so the recursion terminates.
     """
-    return _trivial_normalized(normalize_word(word), omega)
+    _check_word(word)
+    return _trivial_normalized.__wrapped__(word, omega)
 
 
 def element_order(word: str, omega: OmegaSequence, max_order: int) -> int | None:
@@ -196,13 +201,15 @@ def element_order(word: str, omega: OmegaSequence, max_order: int) -> int | None
     By the wreath recursion: w = (w0, w1) has order lcm(|w0|, |w1|), and
     w = swap (w0, w1) has order 2 |w1 w0| as w^2 = (w1 w0, w0 w1). Orders are
     powers of two: 2^d, d the most swaps on a path of sections to the identity,
-    a nontrivial letter counting one. Each level keeps every distinct section
-    once, with its largest count; sections without a swap are shorter, so the
-    sweep ends, or stops once a count passes log2(max_order).
+    a nontrivial letter counting one. The word splits as given, then each level
+    keeps every distinct normalized section once, with its largest count;
+    sections without a swap are shorter, so the sweep ends, or stops once a
+    count passes log2(max_order).
     """
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
-    most, depth, level = max_order.bit_length() - 1, 0, {normalize_word(word): 0}
+    _check_word(word)
+    most, depth, level = max_order.bit_length() - 1, 0, {word: 0}
     while level and depth <= most:
         below: dict[str, int] = {}
         for w, swaps in level.items():
@@ -219,11 +226,14 @@ def element_order(word: str, omega: OmegaSequence, max_order: int) -> int | None
 
 def find_moved_vertex(word: str, omega: OmegaSequence) -> str | None:
     """Some tree vertex moved by the word, or None exactly when it is trivial:
-    the walk enters section 0 when that is nontrivial and section 1 otherwise,
-    so it keeps a nontrivial section down to a leaf of at most one letter
-    exactly when the word is nontrivial (a swap on the way moves a vertex)."""
-    w = normalize_word(word)
-    path = ""
+    0 on an odd a-count; else the walk splits the word as given and enters
+    section 0 when that is nontrivial and section 1 otherwise, so it keeps a
+    nontrivial section down to a leaf of at most one letter exactly when the
+    word is nontrivial (a swap on the way moves a vertex)."""
+    _check_word(word)
+    if word.count("a") & 1:
+        return "0"
+    w, path = word, ""
     while len(w) > 1:
         swap, s0, s1 = _sections(w, omega.at(1))
         if swap:

@@ -531,13 +531,29 @@ class TestWitnesses:
         passed, detail = battery.check_embedding([omega012], battery.QUICK_CAPS, 1)
         assert not passed and "(0 mismatches)" in detail and "(0 missing)" not in detail
 
-    def test_battery_normalizes_each_word_once(self, suite, monkeypatch):
-        # one descent decides each word and finds the vertex it moves
-        calls = []
-        normalize = group.normalize_word
-        monkeypatch.setattr(group, "normalize_word", lambda word: calls.append(word) or normalize(word))
+    def test_battery_descends_each_word_once(self, suite, monkeypatch):
+        # one descent decides each word and finds the vertex it moves: it
+        # splits the drawn word itself once, and not at all when an odd
+        # a-count already moves the root (deeper sections are shorter)
+        drawn, found = [], []
+        draw, find, split = battery._random_word, group.find_moved_vertex, group._sections
+
+        def counted_draw(*args):
+            drawn.append([draw(*args), 0])
+            return drawn[-1][0]
+
+        def counted_split(word, first):
+            drawn[-1][1] += word == drawn[-1][0]
+            return split(word, first)
+
+        monkeypatch.setattr(battery, "_random_word", counted_draw)
+        monkeypatch.setattr(group, "find_moved_vertex", lambda word, omega: found.append(word) or find(word, omega))
+        monkeypatch.setattr(group, "_sections", counted_split)
         passed, detail = battery.check_embedding(suite, battery.Caps(), battery.DEFAULT_SEED)
-        assert passed and detail.startswith("2500 words:") and len(calls) == 2500
+        assert passed and detail.startswith("2500 words:")
+        assert found == [word for word, _ in drawn]
+        assert [n for _, n in drawn] == [len(word) > 1 and word.count("a") % 2 == 0 for word, _ in drawn]
+        assert 0 < sum(n for _, n in drawn) < 2500
 
     def test_trivial_words_have_none(self, omega012):
         assert injectivity_witness("bcd", omega012) is None

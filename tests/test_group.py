@@ -24,13 +24,15 @@ from grigorchuk import (
 from grigorchuk.group import (
     _KLEIN,
     _element_keys,
+    _normalize,
     _partner,
     _sections,
+    _trivial_normalized,
     find_moved_vertex,
 )
 from grigorchuk.omega import OmegaSequence
 
-from conftest import fixing_generator
+from conftest import ORACLE_SPECS, fixing_generator
 
 words = st.text(alphabet="abcd", max_size=10)
 vertices = st.text(alphabet="01", max_size=10)
@@ -179,6 +181,51 @@ def sections_by_scan(word: str, omega: OmegaSequence) -> tuple[bool, str, str]:
     return swap, "".join(s0), "".join(s1)
 
 
+def trivial_by_normal_form(word: str, omega: OmegaSequence) -> bool:
+    """Oracle for is_trivial: the normalize-first descent, which splits the
+    normal form of the whole word."""
+    return _trivial_normalized(normalize_word(word), omega)
+
+
+def moved_vertex_by_normal_form(word: str, omega: OmegaSequence) -> str | None:
+    """Oracle for find_moved_vertex: the same walk, started from the normal
+    form of the whole word."""
+    w, path = normalize_word(word), ""
+    while len(w) > 1:
+        swap, s0, s1 = _sections(w, omega.at(1))
+        if swap:
+            return path + "0"
+        omega = omega.shift(1)
+        w = _normalize(s0)
+        if _trivial_normalized(w, omega):
+            path, w = path + "1", _normalize(s1)
+        else:
+            path += "0"
+    if _trivial_normalized(w, omega):
+        return None
+    if w == "a":
+        return path + "0"
+    m = 1
+    while omega.at(m) == _GEN_SYMBOL[w]:
+        m += 1
+    return path + "1" * (m - 1) + "00"
+
+
+def apply_word_by_normal_form(word: str, v: str, omega: OmegaSequence) -> str:
+    """Oracle for apply_word: the normalize-first descent, where each digit
+    reads the root swap of the normalized section above it."""
+    w, digits = normalize_word(word), []
+    while len(w) > 1 and len(digits) < len(v):
+        x = v[len(digits)]
+        swap, s0, s1 = _sections(w, omega.at(len(digits) + 1))
+        digits.append(_flip(x) if swap else x)
+        w = _normalize(s0 if x == "0" else s1)
+    rest = v[len(digits):]
+    if w and rest:
+        rest = apply_generator(w, rest, omega.shift(len(digits)))
+    return "".join(digits) + rest
+
+
 def normal_word(rng: random.Random, length: int) -> str:
     """A word in alternating normal form that ends with b, c or d."""
     out = ["a"] * length
@@ -202,6 +249,30 @@ def seeded_conjugates(seed: int) -> list[str]:
         out.append(conjugate(normal_word(rng, (length - len(r)) // 2), r))
         out.append(conjugate(normal_word(rng, (length - 1) // 2), "a"))
     return out
+
+
+def raw_words(rng: random.Random, count: int) -> list[str]:
+    """Words of 0-260 letters, mostly not in normal form: random words,
+    conjugates u s x u^R with a bb, aa or bcd seam s and up to four letters x,
+    runs of a letter pair, and squares u u."""
+    out = []
+    for _ in range(count):
+        u = "".join(rng.choices("abcd", k=rng.randint(0, 128)))
+        kind = rng.randrange(4)
+        if kind == 0:
+            out.append("".join(rng.choices("abcd", k=rng.randint(0, 260))))
+        elif kind == 1:
+            x = "".join(rng.choices("abcd", k=rng.randint(0, 4)))
+            out.append(conjugate(u, rng.choice(("bb", "aa", "bcd")) + x))
+        elif kind == 2:
+            out.append(rng.choice(("ab", "ac", "ad", "ba", "bc", "bd", "cd", "aa", "bb")) * rng.randint(0, 130))
+        else:
+            out.append(u + u)
+    return out
+
+
+# The oracle omegas and three eventually constant ones.
+RAW_SPECS = (*ORACLE_SPECS, "0:1", "2", "1:02")
 
 
 # Words made of a-runs and b/c/d-runs of up to five letters each.
@@ -555,6 +626,45 @@ class TestWordProblem:
     @given(words, omegas)
     def test_words_equal_reflexive(self, word, w):
         assert words_equal(word, word, w)
+
+
+class TestRawDescent:
+    """The descents split the word as given, read the root swap off its
+    a-count and normalize only sections; the normalize-first descents are
+    their oracles."""
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        rng = random.Random(31)
+        words = raw_words(rng, 60)
+        # a few 4096-letter conjugates: trivial, and with one or two extra letters
+        for x in ("bb", "bcd", "bba", "bcab"):
+            words.append(conjugate("".join(rng.choices("abcd", k=2048 - len(x) // 2)), x))
+        assert sum(normalize_word(word) != word for word in words) > 0.75 * len(words)
+        vertices = ("", "0", "1", "0110", "1" * 12 + "0", "".join(rng.choices("01", k=40)))
+        return [parse_omega(spec) for spec in RAW_SPECS], words, vertices
+
+    def test_trivial_matches_normal_form(self, cases):
+        omegas, words, _ = cases
+        for w in omegas:
+            answers = [is_trivial(word, w) for word in words]
+            assert answers == [trivial_by_normal_form(word, w) for word in words], w.spec()
+            assert any(answers) and not all(answers)
+
+    def test_moved_vertex_matches_normal_form(self, cases):
+        omegas, words, _ = cases
+        for w in omegas:
+            for word in words:
+                vertex = find_moved_vertex(word, w)
+                assert vertex == moved_vertex_by_normal_form(word, w), (w.spec(), word)
+                assert vertex is None or apply_word(word, vertex, w) != vertex
+
+    def test_action_matches_normal_form(self, cases):
+        omegas, words, vertices = cases
+        for w in omegas:
+            for word in words:
+                for v in vertices:
+                    assert apply_word(word, v, w) == apply_word_by_normal_form(word, v, w), (w.spec(), word, v)
 
 
 class TestOrders:
