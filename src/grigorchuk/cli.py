@@ -1,7 +1,8 @@
 """Command line surface: construction, verification, and export.
 
 Exit codes: 0 success, 1 check failure, 2 usage, parse or output-path error,
-3 unsupported case (eventually constant omega where the subshift is needed).
+3 unsupported case (eventually constant omega where the subshift is needed),
+141 (128 + SIGPIPE) stdout closed before the output ended, with nothing on stderr.
 Each command returns its exit code and its output as a stream of text, and
 `main` alone writes that stream, to stdout or to the `-o` file.
 """
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections.abc import Iterable, Iterator
 from itertools import chain
@@ -22,6 +24,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_UNSUPPORTED = 3
+EXIT_BROKEN_PIPE = 141
 
 
 def _emit(chunks: Iterable[str], output: str | Path | None) -> None:
@@ -31,17 +34,11 @@ def _emit(chunks: Iterable[str], output: str | Path | None) -> None:
             fh.writelines(chunks)
     else:
         sys.stdout.writelines(chunks)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
 
 
 def _lines(lines: Iterable[str]) -> Iterator[str]:
     return (f"{line}\n" for line in lines)
-
-
-def _spelled(spots: list[tuple[str, int]], n: int, sep: str) -> Iterator[str]:
-    """The length-n windows at the spots, spelled, `sep` before all but the
-    first; junction words hold only block letters and markers."""
-    for k, (j, i) in enumerate(spots):
-        yield f"{sep if k else ''}{subshift._spell(j[i : i + n])}"
 
 
 def _graph_json(g: schreier.LabeledGraph) -> Iterator[str]:
@@ -82,13 +79,13 @@ def cmd_language(args) -> tuple[int, Iterable[str]]:
     omega, n = parse_omega(args.omega), args.n
     if n < 0:
         raise ValueError("length must be >= 0")
-    spots = subshift._factor_spots(subshift._junctions(omega, subshift._level_for(n)), n)
-    header = f"omega={omega.spec()} n={n} count={len(spots)}"
+    count, words = subshift._listing(omega, n, doubled=False)
+    header = f"omega={omega.spec()} n={n} count={count}"
     if args.format == "json":  # laid out as json.dumps(..., sort_keys=True, indent=2)
-        head = f'{{\n  "header": "{header}",\n  "words": [\n    "'
-        return EXIT_OK, chain([head], _spelled(spots, n, '",\n    "'), ['"\n  ]\n}\n'])
-    sep = "\t" if args.format == "tsv" else "\n"
-    return EXIT_OK, chain([f"{header}\n"], _spelled(spots, n, sep), ["\n"])
+        head, sep, tail = f'{{\n  "header": "{header}",\n  "words": [\n    "', '",\n    "', '"\n  ]\n}\n'
+    else:
+        head, sep, tail = f"{header}\n", "\t" if args.format == "tsv" else "\n", "\n"
+    return EXIT_OK, chain([head, next(words)], (sep + u for u in words), [tail])  # count >= 1
 
 
 def _table_omega(args):
@@ -203,14 +200,13 @@ def cmd_double(args) -> tuple[int, Iterable[str]]:
         ok = lhs <= bound
         all_ok = all_ok and ok
         lines.append(f"{n}\t{lhs}\t{bound}\t{'pass' if ok else 'FAIL'}")
-    spots, n = [], args.words
+    words, n = (), args.words
     if n is not None:
         if n < 1:
             raise ValueError("length must be >= 1")
-        junctions = subshift._doubled_junctions(omega, subshift._level_for((n + 1) // 2))
-        spots = subshift._factor_spots(junctions, n)
-        lines.append(f"words n={n} count={len(spots)}")
-    return EXIT_OK if all_ok else EXIT_CHECK_FAILED, _lines(chain(lines, _spelled(spots, n, "")))
+        count, words = subshift._listing(omega, n, doubled=True)
+        lines.append(f"words n={n} count={count}")
+    return EXIT_OK if all_ok else EXIT_CHECK_FAILED, _lines(chain(lines, words))
 
 
 def cmd_verify(args) -> tuple[int, Iterable[str]]:
@@ -330,6 +326,9 @@ def main(argv=None) -> int:
         code, chunks = args.fn(args)
         _emit(chunks, args.output)
         return code
+    except BrokenPipeError:  # the reader left, as `| head` does: quiet, even at shutdown
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except EventuallyConstantOmegaError as exc:
         sys.stderr.write(f"unsupported: {exc}\n")
         return EXIT_UNSUPPORTED

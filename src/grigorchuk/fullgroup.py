@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import groupby
 from math import lcm
 
@@ -20,8 +20,8 @@ from .group import GEN_SYMBOL, _check_word, apply_word, find_moved_vertex
 from .omega import OmegaSequence
 from .schreier import _block_word, gray_rank, ray_at, ruler_a
 from .subshift import (
-    MARKER, _doubled_junctions, _factor_spots, _first_spots, _junctions, _level_for,
-    _occurrences, _require_not_constant, is_admissible, uniform_recurrence_radius,
+    MARKER, _doubled_junctions, _junctions, _level_for, _occurrences, _require_not_constant,
+    _spots, _woven, is_admissible, uniform_recurrence_radius,
 )
 
 _LABEL_CAP = 120
@@ -381,8 +381,10 @@ def find_disjoint_cylinder(omega: OmegaSequence, n: int) -> str:
     if n < 2:
         raise ValueError("need n >= 2")
     for length in range(1, _CYLINDER_MAX_LEN + 1):
-        for j, i in _factor_spots(_junctions(omega, _level_for(length)), length):
-            u = j[i : i + length]
+        m = _level_for(length)
+        words = _junctions(omega, m)
+        for q, i in _spots(omega, m, length):
+            u = words[q][i : i + length]
             if all(not _joint_occurrence(u, k, omega) for k in range(1, n)):
                 return u
     raise RuntimeError(f"no disjoint cylinder for n={n} up to word length {_CYLINDER_MAX_LEN}")
@@ -454,13 +456,15 @@ def commutator_identity_check(word: str, omega: OmegaSequence) -> bool:
 
 def dump_element(e: FullGroupElement) -> Iterator[str]:
     """Debug dump as a stream of text: formal word, radius, displacement
-    bound, and the complete cocycle table, each admissible window once, in
-    sorted order, or in first-seen order for plain windows past 2048 letters."""
+    bound, and the cocycle table, each admissible window once as `_spots`
+    lists it off the distinct digit factors: sorted, or in first-seen order for
+    plain windows past 2048 letters, its cocycle walked in the word holding it."""
     yield f"word: {e.label}\nradius: {e.radius}\ndisplacement_bound: {e.dbound}\ntable:\n"
-    length = 2 * e.radius
-    words = (_doubled_junctions(e.omega, _level_for(e.radius)) if e.tag == "B"
-             else _junctions(e.omega, _level_for(length)))
-    spots = (_first_spots if e.tag == "A" and length > 2048 else _factor_spots)(words, length)
-    walks = {j: _walker(e, j) for j in words}
-    for j, i in spots:  # j extends the window, so the cocycle read in j is exact
-        yield f"  {j[i : i + length]} -> {walks[j](j, i + e.radius):+d}\n"
+    length, doubled = 2 * e.radius, e.tag == "B"
+    m = _level_for(e.radius if doubled else length)
+    words = (_doubled_junctions if doubled else _junctions)(e.omega, m)
+    spots = (_woven(partial(_spots, e.omega, m), length) if doubled
+             else _spots(e.omega, m, length, ordered=length <= 2048))
+    walks = [_walker(e, j) for j in words]
+    for q, i in spots:  # the word extends the window, so the cocycle read in it is exact
+        yield f"  {words[q][i : i + length]} -> {walks[q](words[q], i + e.radius):+d}\n"

@@ -7,8 +7,8 @@ the double-edge blocks, and 'z' for the doubling marker.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-from functools import cmp_to_key, lru_cache
+from collections.abc import Callable, Iterator
+from functools import cmp_to_key, lru_cache, partial
 
 from .omega import EventuallyConstantOmegaError, OmegaSequence
 from .schreier import _block_word
@@ -17,6 +17,9 @@ ALPHABET = "T012"
 _DROP_ALPHABET = str.maketrans("", "", ALPHABET)
 MARKER = "z"
 _DROP_LETTERS = str.maketrans("", "", ALPHABET + MARKER)
+_SPELLING = str.maketrans({c: f"L{c}" for c in "012"})
+# spelled with a marker after each letter: a doubled junction word less its first marker
+_WOVEN = str.maketrans({c: f"{c.translate(_SPELLING)}{MARKER}" for c in ALPHABET})
 _RADIUS_CAP = 1 << 22
 
 
@@ -24,12 +27,7 @@ def render_word(word: str) -> str:
     """Dump spelling: T, L0, L1, L2, z."""
     if word.translate(_DROP_LETTERS):
         raise ValueError(f"letters must be in {ALPHABET + MARKER!r}, got {word!r}")
-    return _spell(word)
-
-
-def _spell(word: str) -> str:
-    """`render_word` for letters known to be in the alphabet, unchecked."""
-    return word.replace("0", "L0").replace("1", "L1").replace("2", "L2")
+    return word.translate(_SPELLING)
 
 
 def _require_not_constant(omega: OmegaSequence) -> None:
@@ -85,32 +83,59 @@ def _windows(words, n: int):
             yield j[i : i + n]
 
 
-def _factor_spots(words, n: int) -> list[tuple[str, int]]:
-    """One (word, start) per distinct length-n window of the words, its first
-    start in reading order, in sorted window order: a stable sort of every
-    start, comparing windows slice by slice, so no window is stored."""
+def _digit_spots(omega: OmegaSequence, m: int, k: int, ordered: bool) -> list[tuple[int, int]]:
+    """(q, i), digit i of junction q, where each distinct k-digit factor of the
+    level-m digit text first starts, in reading order or, `ordered`, factor
+    order. Junction q offers the starts q * 2^m + i, i < 2^m - k, so no factor
+    reads a '|'. Factors are filed by hash and compared in place: none is stored."""
+    text, stride, spots, filed = _digit_text(omega, m), 1 << m, [], {}
+    for first in range(0, len(text), stride):
+        for t in range(first, first + stride - k):
+            u = text[t : t + k]
+            same = filed.setdefault(hash(u), [])
+            if not any(text.startswith(u, s) for s in same):
+                same.append(t)
+                spots.append(t)
 
-    def compare(a: tuple[str, int], b: tuple[str, int]) -> int:
-        u, v = a[0][a[1] : a[1] + n], b[0][b[1] : b[1] + n]
+    def compare(s: int, t: int) -> int:
+        u, v = text[s : s + k], text[t : t + k]
         return (u > v) - (u < v)
 
-    spots = sorted(((j, i) for j in words for i in range(len(j) - n + 1)), key=cmp_to_key(compare))
-    return [s for k, s in enumerate(spots) if k == 0 or compare(spots[k - 1], s)]
+    return [divmod(t, stride) for t in (sorted(spots, key=cmp_to_key(compare)) if ordered else spots)]
 
 
-def _first_spots(words, n: int) -> list[tuple[str, int]]:
-    """One (word, start) per distinct length-n window of the words, its first
-    start, in reading order. The spots are filed by the hash of their window
-    and a repeat is told by comparing in place, so no window is stored."""
-    spots, filed = [], {}
-    for j in words:
-        for i in range(len(j) - n + 1):
-            u = j[i : i + n]
-            same = filed.setdefault(hash(u), [])
-            if not any(k.startswith(u, s) for k, s in same):
-                same.append((j, i))
-                spots.append((j, i))
-    return spots
+def _woven(spots_of: Callable[[int], list[tuple[int, int]]], n: int) -> list[tuple[int, int]]:
+    """Sorted (q, p) per distinct length-n window of words whose even places
+    hold one letter that sorts after those at the odd places, T in a junction
+    word and the marker in a doubled one, from `spots_of(k)`, the sorted (q, i)
+    per distinct k-letter factor of the odd places."""
+    odd = spots_of((n + 1) // 2)  # a window at 2i + 1 holds ceil(n/2) of them from i
+    even = odd if n % 2 == 0 else spots_of(n // 2)
+    return [(q, 2 * i + 1) for q, i in odd] + [(q, 2 * i) for q, i in even]
+
+
+def _spots(omega: OmegaSequence, m: int, n: int, ordered: bool = True) -> list[tuple[int, int]]:
+    """(q, p), junction q and first start p, per distinct length-n window of
+    the level-m junction words (n <= 2^m): sorted, or in reading order for
+    even n, where a window first occurs with its n/2 digits, at 2i on T, then
+    at 2i + 1. The doubled junction words hold the letters at their odd places,
+    so `_woven(partial(_spots, omega, m), n)` lists their windows."""
+    if not n:
+        return [(0, 0)]
+    if not ordered:
+        return [(q, 2 * i + p) for q, i in _digit_spots(omega, m, n // 2, False) for p in (0, 1)]
+    return _woven(partial(_digit_spots, omega, m, ordered=True), n)
+
+
+def _listing(omega: OmegaSequence, n: int, doubled: bool) -> tuple[int, Iterator[str]]:
+    """The count and sorted stream of the words of length n, of the doubled
+    shift when `doubled`, spelled: each is one slice of a junction word spelled
+    once, where letter p sits at p + p//2, or p + p//4 in a doubled one."""
+    m = _level_for((n + 1) // 2 if doubled else n)
+    words = [MARKER + j.translate(_WOVEN) if doubled else j.translate(_SPELLING)
+             for j in _junctions(omega, m)]
+    spots, step = (_woven(partial(_spots, omega, m), n), 4) if doubled else (_spots(omega, m, n), 2)
+    return len(spots), (words[q][p + p // step : p + n + (p + n) // step] for q, p in spots)
 
 
 def complexity(omega: OmegaSequence, n: int) -> int:

@@ -1,3 +1,4 @@
+from functools import cmp_to_key
 from itertools import product
 
 import pytest
@@ -57,6 +58,30 @@ def language(omega: OmegaSequence, n: int) -> frozenset[str]:
     """Oracle for the sorted factor stream: the admissible words of length n
     as a set, every length-n window of the junction words of the level for n."""
     return frozenset(_windows(_junctions(omega, _level_for(n)), n))
+
+
+def spots_by_sort(words, n: int) -> list[tuple[str, int]]:
+    """Oracle for the spot enumerator: one (word, start) per distinct length-n
+    window of the words, its first start in reading order, in sorted window
+    order, by one stable sort of every start that compares windows slice by
+    slice."""
+
+    def compare(a: tuple[str, int], b: tuple[str, int]) -> int:
+        u, v = a[0][a[1] : a[1] + n], b[0][b[1] : b[1] + n]
+        return (u > v) - (u < v)
+
+    spots = sorted(((j, i) for j in words for i in range(len(j) - n + 1)), key=cmp_to_key(compare))
+    return [s for k, s in enumerate(spots) if k == 0 or compare(spots[k - 1], s)]
+
+
+def first_starts(words, n: int) -> dict:
+    """Each distinct length-n window of the words and its first (word, start),
+    in reading order, the windows held as keys."""
+    first = {}
+    for j in words:
+        for i in range(len(j) - n + 1):
+            first.setdefault(j[i : i + n], (j, i))
+    return first
 
 
 def fixing_generator(prefix: str, omega: OmegaSequence) -> str:

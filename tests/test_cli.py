@@ -446,6 +446,41 @@ def test_bad_listing_length_exits_2_before_any_output(capsys, tmp_path, argv, er
     assert not target.exists()
 
 
+def _child(argv, **kwargs):
+    env = {**os.environ, "PYTHONPATH": str(Path(grigorchuk.__file__).parents[1])}
+    return subprocess.Popen([sys.executable, "-m", "grigorchuk.cli", *argv], env=env,
+                            stderr=subprocess.PIPE, **kwargs)
+
+
+@pytest.mark.parametrize("argv", [
+    ("language", "--omega", "012", "--n", "64"),
+    ("orbit", "--omega", "012", "--count", "5000"),
+    ("embed", "--omega", "012", "ab" * 50, "--dump"),
+    ("graph", "--omega", "012", "--level", "6"),
+    ("word", "--omega", "012", "ab"),
+], ids=["language", "orbit", "embed-dump", "graph", "word"])
+def test_closed_stdout_exits_141_quietly(argv):
+    # the reader left before the first write: exit 128 + SIGPIPE and nothing
+    # on stderr, however short the output
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        child = _child(argv, stdout=write)
+    finally:
+        os.close(write)
+    _, err = child.communicate(timeout=60)
+    assert (child.returncode, err) == (141, b"")
+
+
+def test_pipe_closed_after_the_first_line_exits_141_quietly():
+    # as `| head -1`: the listing is far longer than a pipe holds
+    child = _child(("orbit", "--omega", "012", "--count", "200000"), stdout=subprocess.PIPE)
+    assert child.stdout.readline() == b"omega=012 count=200000\n"
+    child.stdout.close()
+    assert child.wait(timeout=60) == 141
+    assert child.stderr.read() == b""
+
+
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["graph"])  # --omega missing

@@ -48,9 +48,9 @@ from grigorchuk.fullgroup import InsufficientWindowError, _gen, _moves, _walker
 from grigorchuk.group import find_moved_vertex
 from grigorchuk.omega import EventuallyConstantOmegaError
 from grigorchuk.schreier import _block_word
-from grigorchuk.subshift import _junctions, _level_for, _windows
+from grigorchuk.subshift import _doubled_junctions, _junctions, _level_for, _windows
 
-from conftest import block_letters, language
+from conftest import block_letters, language, spots_by_sort
 
 words = st.text(alphabet="abcd", max_size=8)
 DEEP_PREPERIOD = "2" * 60 + ":01"
@@ -845,6 +845,23 @@ class TestDump:
             for row in rows[::stride]:
                 window, _, value = row.split()
                 assert int(value) == e.cocycle(Window(e.radius, window)), (spec, word, window)
+
+    def test_dump_matches_the_sort_of_every_start(self, suite):
+        # byte for byte the table over the sort of every window start in the
+        # junction words, doubled ones for tag B, each cocycle read by the
+        # per-letter walk in the word that holds the window
+        for w in suite:
+            g = embed_word("acab" * 3, w)
+            elements = (embed_word("ab", w), g, tau(w), double_element(g, 1), double_element(g, 2),
+                        compose(double_element(embed_word("ab", w), 1), tau(w)))
+            for e in elements:
+                r = e.radius
+                words = (_doubled_junctions(w, _level_for(r)) if e.tag == "B"
+                         else _junctions(w, _level_for(2 * r)))
+                rows = [f"  {j[i : i + 2 * r]} -> {e._eval(j, i + r):+d}\n"
+                        for j, i in spots_by_sort(words, 2 * r)]
+                head = f"word: {e.label}\nradius: {r}\ndisplacement_bound: {e.dbound}\ntable:\n"
+                assert "".join(dump_element(e)) == head + "".join(rows), (w.spec(), e.label)
 
     def test_dump_past_2048_lists_each_window_once(self, omega012):
         # Windows of length 2202 are streamed junction by junction, repeats

@@ -8,6 +8,7 @@ junction words."""
 
 import random
 import tracemalloc
+from functools import partial
 from itertools import accumulate, product
 
 import pytest
@@ -28,12 +29,13 @@ from grigorchuk import (
 from grigorchuk.omega import EventuallyConstantOmegaError, OmegaSequence
 from grigorchuk.schreier import _block_word
 from grigorchuk.subshift import (
-    ALPHABET, _digit_text, _doubled_junctions, _factor_spots, _first_spots, _junctions,
-    _level_for, _occurrences, _windows,
+    ALPHABET, _digit_text, _doubled_junctions, _junctions, _level_for,
+    _occurrences, _spots, _windows, _woven,
 )
 
 from conftest import (
-    ORACLE_SPECS, admissible_by_letters, block_letters, language, occurrences_by_letters,
+    ORACLE_SPECS, admissible_by_letters, block_letters, first_starts, language,
+    occurrences_by_letters, spots_by_sort,
 )
 
 
@@ -54,19 +56,15 @@ def scan_factors(omega, n: int) -> frozenset:
     return frozenset(w[i : i + n] for i in range(len(w) - n + 1))
 
 
+def spots_in(words, spots) -> list[tuple[str, int]]:
+    """The (junction q, start) spots as (word q, start)."""
+    return [(words[q], i) for q, i in spots]
+
+
 def factors(omega, n: int) -> list[str]:
     """The sorted factor stream of the level-n junction words, read as words."""
-    return [j[i : i + n] for j, i in _factor_spots(_junctions(omega, _level_for(n)), n)]
-
-
-def first_starts(words, n: int) -> dict:
-    """Each distinct length-n window of the words and its first (word, start),
-    in reading order, the windows held as keys."""
-    first = {}
-    for j in words:
-        for i in range(len(j) - n + 1):
-            first.setdefault(j[i : i + n], (j, i))
-    return first
+    m = _level_for(n)
+    return [j[i : i + n] for j, i in spots_in(_junctions(omega, m), _spots(omega, m, n))]
 
 
 def complexity_by_windows(omega, n: int) -> int:
@@ -228,34 +226,55 @@ class TestLanguage:
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 64, 300, 1000, 2049, 4096])
     def test_stream_matches_sorted_sets(self, suite, n):
         # one spot per distinct window, its first start: in window order the
-        # sorted set, in reading order the windows as first seen; the doubled
-        # stream is the sorted doubled language
+        # sorted set, in reading order the windows as first seen, and for even
+        # n the reading-order listing; the doubled stream is the sorted
+        # doubled language
         for w in suite:
-            words = _junctions(w, _level_for(n))
-            spots = _factor_spots(words, n)
+            m = _level_for(n)
+            words = _junctions(w, m)
+            spots = spots_in(words, _spots(w, m, n))
             assert [j[i : i + n] for j, i in spots] == sorted(language(w, n)), w.spec()
             spots.sort(key=lambda spot: (words.index(spot[0]), spot[1]))
-            first_seen = list(dict.fromkeys(_windows(words, n)))
-            assert [j[i : i + n] for j, i in spots] == first_seen, w.spec()
-            assert _first_spots(words, n) == spots, w.spec()
+            assert spots == list(first_starts(words, n).values()), w.spec()
+            if n % 2 == 0:
+                assert spots_in(words, _spots(w, m, n, False)) == spots, w.spec()
             if n:
-                doubled = _factor_spots(_doubled_junctions(w, _level_for((n + 1) // 2)), n)
+                m = _level_for((n + 1) // 2)
+                doubled = spots_in(_doubled_junctions(w, m), _woven(partial(_spots, w, m), n))
                 assert [j[i : i + n] for j, i in doubled] == sorted(double_language(w, n)), w.spec()
 
-    @given(st.lists(st.text(alphabet="T01z", max_size=12), max_size=4), st.integers(0, 6))
-    def test_spots_of_any_words(self, words, n):
-        # any words, some shorter than n: each distinct window once, at the
-        # first start met reading the words in order
-        first = first_starts(words, n)
-        assert _factor_spots(words, n) == [first[u] for u in sorted(first)]
-        assert _first_spots(words, n) == list(first.values())
+    @given(st.text(alphabet="012", max_size=3), st.text(alphabet="012", min_size=2, max_size=4),
+           st.integers(0, 64))
+    def test_spots_of_any_omega(self, preperiod, period, n):
+        # any omega, at its own level or one above: spot for spot the sort of
+        # every letter window, plain and doubled, and for even n the first
+        # starts in reading order
+        if len(set(period)) == 1:
+            period += "0" if period[0] != "0" else "1"
+        w = OmegaSequence(preperiod, period)
+        for m in (_level_for(n), _level_for(n) + 1):
+            words = _junctions(w, m)
+            assert spots_in(words, _spots(w, m, n)) == spots_by_sort(words, n), (w.spec(), m)
+            if n % 2 == 0:
+                first = list(first_starts(words, n).values())
+                assert spots_in(words, _spots(w, m, n, False)) == first, (w.spec(), m)
+        if n:
+            m = _level_for((n + 1) // 2)
+            doubled = _doubled_junctions(w, m)
+            assert spots_in(doubled, _woven(partial(_spots, w, m), n)) == spots_by_sort(doubled, n), w.spec()
 
     @pytest.mark.parametrize("n", [0, 1, 3, 7])
-    def test_first_spots_through_hash_collisions(self, monkeypatch, n):
-        # every window filed under one hash: repeats are told apart in place
+    def test_first_spots_through_hash_collisions(self, monkeypatch, suite, n):
+        # every digit factor filed under one hash: repeats are told apart in
+        # place, in both orders
         monkeypatch.setattr(subshift, "hash", lambda u: 0, raising=False)
-        words = ["T0T1T0T2T0T1T0T", "0T1T0", "", "T0T1T0T2T0T1T0T"]
-        assert _first_spots(words, n) == list(first_starts(words, n).values())
+        for w in suite:
+            m = _level_for(2 * n)
+            words = _junctions(w, m)
+            first = list(first_starts(words, 2 * n).values())
+            assert spots_in(words, _spots(w, m, 2 * n, False)) == first, w.spec()
+            for k in (n, 2 * n):
+                assert spots_in(words, _spots(w, m, k)) == spots_by_sort(words, k), (w.spec(), k)
 
     def test_occurring_symbols(self):
         assert parse_omega("2:0112").symbols_from(2) == {0, 1, 2}
@@ -301,10 +320,10 @@ class TestComplexity:
         # (2*7 + 3*6 = 32 (omega, level) keys), and the doubling check's levels
         # 1..6 add level 1 on each omega: 37 keys. The degenerate-witness check
         # adds level 9 on 012 (38 keys, held without evicting), and its
-        # cylinder 1 is found by occurrence searches in the digit texts of
-        # levels 1 and 2 on 012. The doubled-language cache built on the
-        # junction words is cleared too, so the counts do not depend on the
-        # tests that ran before.
+        # cylinder 1 is listed off the level-1 digit text of 012 and checked
+        # by occurrence searches in those of levels 1 and 2. The doubled-
+        # language cache built on the junction words is cleared too, so the
+        # counts do not depend on the tests that ran before.
         for cache in (_junctions, _digit_text, double_language):
             cache.cache_clear()
         for check in (
