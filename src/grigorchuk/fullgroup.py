@@ -6,6 +6,9 @@ Window convention: a radius-r window stores the 2r letters at positions
 -r..r-1 around the marked vertex 0, the letter at position i being the block
 joining vertices i and i+1. The cocycle n(x) is the signed displacement of
 the marked vertex, so the element acts as x -> shift^{n(x)}(x).
+
+Doubled elements (tag B) walk a plain word in doubled coordinates: c = 2i + 1 is
+vertex i with its letter at position 0, c = 2i the same vertex with the marker there.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ from .group import GEN_SYMBOL, _check_word, apply_word, find_moved_vertex
 from .omega import OmegaSequence
 from .schreier import _block_word, gray_rank, ray_at, ruler_a
 from .subshift import (
-    MARKER, _doubled_junctions, _junctions, _level_for, _occurrences, _require_not_constant,
-    _spots, _woven, is_admissible, uniform_recurrence_radius,
+    ALPHABET, _interleaved, _junctions, _level_for, _occurrences, _require_not_constant, _spots,
+    _woven, is_admissible, uniform_recurrence_radius,
 )
 
 _LABEL_CAP = 120
@@ -88,13 +91,17 @@ class FullGroupElement:
             raise InsufficientWindowError(
                 f"need radius {self.radius}, window has {window.radius}"
             )
-        return self._eval(window.letters, window.radius)
+        letters, center = window.letters, window.radius
+        if self.tag == "B":  # its plain letters, c one place on when it starts on a letter
+            phase = letters[0] in ALPHABET
+            letters, center = letters[1 - phase :: 2], center + phase
+        return self._eval(letters, center)
 
     def _eval(self, letters: str, center: int) -> int:
-        """The cocycle at the marked vertex `center` of `letters`. Raises when
-        the walk reads outside them, so the result is exact for every window
-        that extends `letters`."""
-        n, size = 0, len(letters)
+        """The cocycle at the marked vertex `center` of `letters`, a doubled
+        coordinate for tag B. Raises when the walk reads outside them, so the
+        result is exact for every window that extends `letters`."""
+        n, size = 0, 2 * len(letters) + 1 if self.tag == "B" else len(letters)
         for f in self.factors:
             c = center + n
             if c < f[1] or c + f[1] > size:
@@ -121,7 +128,7 @@ def _step(f: tuple, letters: str, center: int) -> int:
     if kind == "shift":
         return f[3]
     if kind == "tau":
-        return 1 if letters[center] == MARKER else -1
+        return 1 - 2 * (center & 1)
     if kind == "sigma":
         _, _, _, u, i, j = f
         if letters.startswith(u, center - i):
@@ -139,13 +146,8 @@ def _step(f: tuple, letters: str, center: int) -> int:
         raise RuntimeError(
             f"no return of {u!r} within bound {bound}; widen the recurrence bound"
         )
-    if kind == "dbl":
-        copy, child = f[3], f[4]
-        if (letters[center] != MARKER) != (copy == 1):
-            return 0
-        rc = child.radius
-        start = center - 2 * rc + (0 if copy == 1 else 1)
-        return 2 * child._eval(letters[start : start + 4 * rc : 2], rc)
+    if kind == "dbl":  # copy 1 acts at the odd c, copy 2 at the even ones
+        return 2 * f[4]._eval(letters, center >> 1) if center & 1 == (f[3] == 1) else 0
     raise AssertionError(f"unknown kind {kind}")
 
 
@@ -170,8 +172,8 @@ def _walker(e: FullGroupElement, j: str) -> Callable[[str, int], int]:
     """`e._eval` on the junction word j, for walks from many centres of it:
     e's program compiled once, each run of generator factors a list of j's
     `_moves` tables, walked by one lookup per letter; other factors go
-    through `_step` with `_eval`'s bounds."""
-    size, program = len(j), []
+    through `_step` with `_eval`'s bounds, tag B in doubled coordinates."""
+    size, program = 2 * len(j) + 1 if e.tag == "B" else len(j), []
     for is_gen, run in groupby(e.factors, lambda f: f[0] == "gen"):
         if is_gen:
             moves = _moves(j)
@@ -276,8 +278,8 @@ def embed_word(word: str, omega: OmegaSequence) -> FullGroupElement:
 def element_order_fg(e: FullGroupElement, max_order: int) -> int | None:
     """The least k >= 1 with e^k the identity, or None past max_order: the lcm
     of the return times of all points (displacement 0; there are no periodic
-    points). Walks start at each c in r..len(j) - r of the junction words j
-    whose windows are the admissible words of length 2r (doubled for tag B),
+    points). Walks start at each c in r..size - r of the junction words j whose
+    windows are the admissible words of length 2r (size len(j), 2 len(j) + 1 for tag B),
     r doubling from 1. Every point carries some j around its marked vertex at
     such a c, and j is admissible, so a walk inside j is exact even past
     [c - r, c + r); one that leaves j raises and r doubles. Reading order is
@@ -285,16 +287,15 @@ def element_order_fg(e: FullGroupElement, max_order: int) -> int | None:
     The walks in a j of more than `_FEW_CENTRES` centres share one `_walker`."""
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
-    widest, r = e.radius + (max_order - 1) * e.dbound, 1
+    widest, r, doubled = e.radius + (max_order - 1) * e.dbound, 1, e.tag == "B"
     while True:
         r = min(r, widest)
-        words = (_doubled_junctions(e.omega, _level_for(r)) if e.tag == "B"
-                 else _junctions(e.omega, _level_for(2 * r)))
         order = 1
         try:
-            for j in words:
-                walk = _walker(e, j) if len(j) - 2 * r + 1 > _FEW_CENTRES else e._eval
-                for c in range(r, len(j) - r + 1):
+            for j in _junctions(e.omega, _level_for(r if doubled else 2 * r)):
+                size = 2 * len(j) + 1 if doubled else len(j)
+                walk = _walker(e, j) if size - 2 * r + 1 > _FEW_CENTRES else e._eval
+                for c in range(r, size - r + 1):
                     n, t = walk(j, c), 1
                     while n and t < max_order:
                         n += walk(j, c + n)
@@ -425,15 +426,15 @@ def first_return_element(u: str, omega: OmegaSequence) -> FullGroupElement:
 
 def tau(omega: OmegaSequence) -> FullGroupElement:
     """The doubled-shift involution exchanging the two phase classes without
-    moving the underlying point: step forward off a marker, backward onto one."""
+    moving the underlying point: doubled coordinate 2i to 2i + 1 and back."""
     return FullGroupElement(omega, "B", (("tau", 1, 1),), label="tau")
 
 
 def double_element(e: FullGroupElement, copy: int) -> FullGroupElement:
     """Act as `e` through the square of the doubled shift on one phase class,
     identity on the other. Copy 1 is the class whose position-0 letter is
-    plain; its point is read off the even positions, copy 2 off the odd ones
-    to the right."""
+    plain, at doubled coordinates 2i + 1, copy 2 the one at 2i; each moves
+    by twice e's cocycle at vertex i."""
     if copy not in (1, 2):
         raise ValueError("copy must be 1 or 2")
     if e.tag != "A":
@@ -462,9 +463,10 @@ def dump_element(e: FullGroupElement) -> Iterator[str]:
     yield f"word: {e.label}\nradius: {e.radius}\ndisplacement_bound: {e.dbound}\ntable:\n"
     length, doubled = 2 * e.radius, e.tag == "B"
     m = _level_for(e.radius if doubled else length)
-    words = (_doubled_junctions if doubled else _junctions)(e.omega, m)
+    words = _junctions(e.omega, m)
     spots = (_woven(partial(_spots, e.omega, m), length) if doubled
              else _spots(e.omega, m, length, ordered=length <= 2048))
     walks = [_walker(e, j) for j in words]
+    shown = [_interleaved(j) for j in words] if doubled else words
     for q, i in spots:  # the word extends the window, so the cocycle read in it is exact
-        yield f"  {words[q][i : i + length]} -> {walks[q](words[q], i + e.radius):+d}\n"
+        yield f"  {shown[q][i : i + length]} -> {walks[q](words[q], i + e.radius):+d}\n"

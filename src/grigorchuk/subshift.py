@@ -18,8 +18,6 @@ _DROP_ALPHABET = str.maketrans("", "", ALPHABET)
 MARKER = "z"
 _DROP_LETTERS = str.maketrans("", "", ALPHABET + MARKER)
 _SPELLING = str.maketrans({c: f"L{c}" for c in "012"})
-# spelled with a marker after each letter: a doubled junction word less its first marker
-_WOVEN = str.maketrans({c: f"{c.translate(_SPELLING)}{MARKER}" for c in ALPHABET})
 _RADIUS_CAP = 1 << 22
 
 
@@ -28,6 +26,11 @@ def render_word(word: str) -> str:
     if word.translate(_DROP_LETTERS):
         raise ValueError(f"letters must be in {ALPHABET + MARKER!r}, got {word!r}")
     return word.translate(_SPELLING)
+
+
+def _interleaved(word: str) -> str:
+    """The doubled spelling of a word: a marker before, between and after letters."""
+    return MARKER + MARKER.join(word) + MARKER
 
 
 def _require_not_constant(omega: OmegaSequence) -> None:
@@ -107,8 +110,8 @@ def _digit_spots(omega: OmegaSequence, m: int, k: int, ordered: bool) -> list[tu
 def _woven(spots_of: Callable[[int], list[tuple[int, int]]], n: int) -> list[tuple[int, int]]:
     """Sorted (q, p) per distinct length-n window of words whose even places
     hold one letter that sorts after those at the odd places, T in a junction
-    word and the marker in a doubled one, from `spots_of(k)`, the sorted (q, i)
-    per distinct k-letter factor of the odd places."""
+    word and the marker in its `_interleaved` spelling, from `spots_of(k)`, the
+    sorted (q, i) per distinct k-letter factor of the odd places."""
     odd = spots_of((n + 1) // 2)  # a window at 2i + 1 holds ceil(n/2) of them from i
     even = odd if n % 2 == 0 else spots_of(n // 2)
     return [(q, 2 * i + 1) for q, i in odd] + [(q, 2 * i) for q, i in even]
@@ -118,8 +121,8 @@ def _spots(omega: OmegaSequence, m: int, n: int, ordered: bool = True) -> list[t
     """(q, p), junction q and first start p, per distinct length-n window of
     the level-m junction words (n <= 2^m): sorted, or in reading order for
     even n, where a window first occurs with its n/2 digits, at 2i on T, then
-    at 2i + 1. The doubled junction words hold the letters at their odd places,
-    so `_woven(partial(_spots, omega, m), n)` lists their windows."""
+    at 2i + 1. `_interleaved` junction words hold the letters at their odd
+    places, so `_woven(partial(_spots, omega, m), n)` lists their windows."""
     if not n:
         return [(0, 0)]
     if not ordered:
@@ -132,8 +135,7 @@ def _listing(omega: OmegaSequence, n: int, doubled: bool) -> tuple[int, Iterator
     shift when `doubled`, spelled: each is one slice of a junction word spelled
     once, where letter p sits at p + p//2, or p + p//4 in a doubled one."""
     m = _level_for((n + 1) // 2 if doubled else n)
-    words = [MARKER + j.translate(_WOVEN) if doubled else j.translate(_SPELLING)
-             for j in _junctions(omega, m)]
+    words = [(_interleaved(j) if doubled else j).translate(_SPELLING) for j in _junctions(omega, m)]
     spots, step = (_woven(partial(_spots, omega, m), n), 4) if doubled else (_spots(omega, m, n), 2)
     return len(spots), (words[q][p + p // step : p + n + (p + n) // step] for q, p in spots)
 
@@ -277,15 +279,10 @@ def uniform_recurrence_radius(omega: OmegaSequence, n: int) -> int:
     raise RuntimeError(f"recurrence radius for n={n} exceeds cap {_RADIUS_CAP}")
 
 
-def _doubled_junctions(omega: OmegaSequence, m: int) -> list[str]:
-    """The level-m junction words, a marker before, between and after letters."""
-    return [MARKER + MARKER.join(j) + MARKER for j in _junctions(omega, m)]
-
-
 @lru_cache(maxsize=1)
 def double_language(omega: OmegaSequence, n: int) -> frozenset[str]:
     """Exact factors of the doubled shift, both phase classes: the length-n
-    windows of the doubled junction words."""
+    windows of the `_interleaved` junction words for ceil(n/2)."""
     if n < 1:
         raise ValueError("length must be >= 1")
-    return frozenset(_windows(_doubled_junctions(omega, _level_for((n + 1) // 2)), n))
+    return frozenset(_windows(map(_interleaved, _junctions(omega, _level_for((n + 1) // 2))), n))

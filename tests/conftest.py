@@ -5,8 +5,9 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from grigorchuk import OmegaSequence, parse_omega, ruler_a
+from grigorchuk.fullgroup import InsufficientWindowError
 from grigorchuk.group import _partner
-from grigorchuk.subshift import _junctions, _level_for, _windows
+from grigorchuk.subshift import MARKER, _junctions, _level_for, _windows
 
 settings.register_profile(
     "det",
@@ -58,6 +59,37 @@ def language(omega: OmegaSequence, n: int) -> frozenset[str]:
     """Oracle for the sorted factor stream: the admissible words of length n
     as a set, every length-n window of the junction words of the level for n."""
     return frozenset(_windows(_junctions(omega, _level_for(n)), n))
+
+
+def doubled_junctions(omega: OmegaSequence, m: int) -> list[str]:
+    """Oracle for the doubled junction words: the level-m junction words, a
+    marker before, between and after letters."""
+    return [MARKER + MARKER.join(j) + MARKER for j in _junctions(omega, m)]
+
+
+def letter_eval(e, letters: str, center: int) -> int:
+    """Oracle for the walks of a doubled element (tag B): its cocycle at the
+    vertex `center` of `letters`, spelled with markers interleaved, read off
+    the letters. tau steps forward off a marker and back onto one, and a dbl
+    copy acts when the letter at 0 is plain for copy 1, the marker for copy 2,
+    as twice its child's cocycle on a strided slice of 4 r plain letters. A
+    plain element is read by its own `_eval`."""
+    if e.tag == "A":
+        return e._eval(letters, center)
+    n, size = 0, len(letters)
+    for f in e.factors:
+        c = center + n
+        if c < f[1] or c + f[1] > size:
+            raise InsufficientWindowError(f"a radius-{f[1]} factor at {c} leaves {size} letters")
+        if f[0] == "tau":
+            n += 1 if letters[c] == MARKER else -1
+        elif (letters[c] != MARKER) == (f[3] == 1):  # a dbl copy on this phase
+            rc = f[4].radius
+            start = c - 2 * rc + (f[3] == 2)
+            n += 2 * f[4]._eval(letters[start : start + 4 * rc : 2], rc)
+    if abs(n) > e.dbound:
+        raise RuntimeError(f"displacement {n} exceeds bound {e.dbound} for {e.label}")
+    return n
 
 
 def spots_by_sort(words, n: int) -> list[tuple[str, int]]:

@@ -4,7 +4,7 @@ witnesses, and the doubled system."""
 import hashlib
 import random
 import tracemalloc
-from functools import partial
+from functools import partial, reduce
 from itertools import product
 from math import lcm
 
@@ -48,9 +48,9 @@ from grigorchuk.fullgroup import InsufficientWindowError, _gen, _moves, _walker
 from grigorchuk.group import find_moved_vertex
 from grigorchuk.omega import EventuallyConstantOmegaError
 from grigorchuk.schreier import _block_word
-from grigorchuk.subshift import _doubled_junctions, _junctions, _level_for, _windows
+from grigorchuk.subshift import _junctions, _level_for, _windows
 
-from conftest import block_letters, language, spots_by_sort
+from conftest import ORACLE_SPECS, block_letters, doubled_junctions, language, letter_eval, spots_by_sort
 
 words = st.text(alphabet="abcd", max_size=8)
 DEEP_PREPERIOD = "2" * 60 + ":01"
@@ -65,7 +65,7 @@ def full_radius_is_identity(e):
     """Slow oracle for is_identity: the cocycle at every admissible window of
     the element's full radius, with no narrow-first reading."""
     r = e.radius
-    return all(e._eval(w, r) == 0 for w in sorted_windows(e.omega, 2 * r, e.tag))
+    return all(letter_eval(e, w, r) == 0 for w in sorted_windows(e.omega, 2 * r, e.tag))
 
 
 def order_by_windows(e, max_order):
@@ -78,9 +78,9 @@ def order_by_windows(e, max_order):
         order = 1
         try:
             for w in sorted_windows(e.omega, 2 * r, e.tag):
-                n, t = e._eval(w, r), 1
+                n, t = letter_eval(e, w, r), 1
                 while n and t < max_order:
-                    n += e._eval(w, r + n)
+                    n += letter_eval(e, w, r + n)
                     t += 1
                 if n:
                     return None
@@ -800,6 +800,47 @@ class TestDoubledSystem:
             rhs = compose(diagonal(embed_word(w1, omega012)), diagonal(embed_word(w2, omega012)))
             assert elements_equal(lhs, rhs)
 
+    def test_walks_match_the_marker_letters(self):
+        # tag-B walks read the plain junction words in doubled coordinates, by
+        # `_eval` and by `_walker`; the marker-letter oracle reads the doubled
+        # junction words. They agree at every vertex of levels 1-5, one off
+        # each end included, on the value or on InsufficientWindowError.
+        rng = random.Random(45)
+        outcomes = set()
+        for spec in ORACLE_SPECS:
+            w = parse_omega(spec)
+
+            def factor():
+                k = rng.randint(0, 2)
+                g = embed_word("".join(rng.choices("abcd", k=rng.randint(0, 4))), w)
+                return double_element(g, k) if k else tau(w)
+
+            elements = [reduce(compose, [factor() for _ in range(rng.randint(1, 5))]) for _ in range(8)]
+            for m in range(1, 6):
+                for j, doubled in zip(_junctions(w, m), doubled_junctions(w, m)):
+                    centers = range(-1, len(doubled) + 2)
+                    for e in elements:
+                        expected = walk_outcomes(partial(letter_eval, e, doubled), centers)
+                        assert walk_outcomes(partial(e._eval, j), centers) == expected, (spec, m, e.label)
+                        assert walk_outcomes(partial(_walker(e, j), j), centers) == expected, (spec, m, e.label)
+                        outcomes.update(n if n is None else n != 0 for n in expected)
+        assert outcomes == {None, False, True}  # walks leave, stay put and move
+
+    def test_cocycle_reads_interleaved_windows(self, suite):
+        # `cocycle` takes a doubled window with markers interleaved, starting
+        # on a letter or on the marker, and agrees with the marker-letter
+        # oracle on every admissible one of the element's radius
+        rng = random.Random(46)
+        for w in suite:
+            t = tau(w)
+            for _ in range(4):
+                g = embed_word("".join(rng.choices("abcd", k=rng.randint(1, 4))), w)
+                g1, g2 = double_element(g, 1), double_element(g, 2)
+                for e in (g1, g2, compose(g1, t), compose(t, compose(g2, t))):
+                    r = e.radius
+                    for letters in sorted_windows(w, 2 * r, "B"):
+                        assert e.cocycle(Window(r, letters)) == letter_eval(e, letters, r), (w.spec(), e.label, letters)
+
     def test_double_rejects_doubled_input(self, omega012):
         with pytest.raises(ValueError):
             double_element(tau(omega012), 1)
@@ -849,16 +890,17 @@ class TestDump:
     def test_dump_matches_the_sort_of_every_start(self, suite):
         # byte for byte the table over the sort of every window start in the
         # junction words, doubled ones for tag B, each cocycle read by the
-        # per-letter walk in the word that holds the window
+        # per-letter walk (the marker-letter oracle for tag B) in the word
+        # that holds the window
         for w in suite:
             g = embed_word("acab" * 3, w)
             elements = (embed_word("ab", w), g, tau(w), double_element(g, 1), double_element(g, 2),
                         compose(double_element(embed_word("ab", w), 1), tau(w)))
             for e in elements:
                 r = e.radius
-                words = (_doubled_junctions(w, _level_for(r)) if e.tag == "B"
+                words = (doubled_junctions(w, _level_for(r)) if e.tag == "B"
                          else _junctions(w, _level_for(2 * r)))
-                rows = [f"  {j[i : i + 2 * r]} -> {e._eval(j, i + r):+d}\n"
+                rows = [f"  {j[i : i + 2 * r]} -> {letter_eval(e, j, i + r):+d}\n"
                         for j, i in spots_by_sort(words, 2 * r)]
                 head = f"word: {e.label}\nradius: {r}\ndisplacement_bound: {e.dbound}\ntable:\n"
                 assert "".join(dump_element(e)) == head + "".join(rows), (w.spec(), e.label)

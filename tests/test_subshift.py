@@ -29,13 +29,13 @@ from grigorchuk import (
 from grigorchuk.omega import EventuallyConstantOmegaError, OmegaSequence
 from grigorchuk.schreier import _block_word
 from grigorchuk.subshift import (
-    ALPHABET, _digit_text, _doubled_junctions, _junctions, _level_for,
-    _occurrences, _spots, _windows, _woven,
+    ALPHABET, _digit_text, _junctions, _level_for, _occurrences, _spots,
+    _windows, _woven,
 )
 
 from conftest import (
-    ORACLE_SPECS, admissible_by_letters, block_letters, first_starts, language,
-    occurrences_by_letters, spots_by_sort,
+    ORACLE_SPECS, admissible_by_letters, block_letters, doubled_junctions, first_starts,
+    language, occurrences_by_letters, spots_by_sort,
 )
 
 
@@ -240,7 +240,7 @@ class TestLanguage:
                 assert spots_in(words, _spots(w, m, n, False)) == spots, w.spec()
             if n:
                 m = _level_for((n + 1) // 2)
-                doubled = spots_in(_doubled_junctions(w, m), _woven(partial(_spots, w, m), n))
+                doubled = spots_in(doubled_junctions(w, m), _woven(partial(_spots, w, m), n))
                 assert [j[i : i + n] for j, i in doubled] == sorted(double_language(w, n)), w.spec()
 
     @given(st.text(alphabet="012", max_size=3), st.text(alphabet="012", min_size=2, max_size=4),
@@ -260,7 +260,7 @@ class TestLanguage:
                 assert spots_in(words, _spots(w, m, n, False)) == first, (w.spec(), m)
         if n:
             m = _level_for((n + 1) // 2)
-            doubled = _doubled_junctions(w, m)
+            doubled = doubled_junctions(w, m)
             assert spots_in(doubled, _woven(partial(_spots, w, m), n)) == spots_by_sort(doubled, n), w.spec()
 
     @pytest.mark.parametrize("n", [0, 1, 3, 7])
