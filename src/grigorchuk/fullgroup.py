@@ -9,6 +9,9 @@ the marked vertex, so the element acts as x -> shift^{n(x)}(x).
 
 Doubled elements (tag B) walk a plain word in doubled coordinates: c = 2i + 1 is
 vertex i with its letter at position 0, c = 2i the same vertex with the marker there.
+
+Every walk runs one compiled program (`_walker`): each word factor becomes a
+list of the walked word's `_moves` tables, one per letter.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from __future__ import annotations
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import groupby
 from math import lcm
 
 from .group import GEN_SYMBOL, _check_word, apply_word, find_moved_vertex
@@ -29,9 +31,6 @@ from .subshift import (
 
 _LABEL_CAP = 120
 _CYLINDER_MAX_LEN = 24
-# A junction word with at most this many centres is walked letter by letter:
-# compiling a short program against its move tables costs about a few walks.
-_FEW_CENTRES = 16
 
 
 class InsufficientWindowError(ValueError):
@@ -60,8 +59,9 @@ class FullGroupElement:
     """A flat cocycle program: primitive factors in the order they act.
 
     The product's cocycle is the running sum n += f(x + n) over the factors.
-    Each factor is a tuple (kind, radius, bound, *data) with kind one of gen,
-    shift, tau, sigma, ret and dbl (whose data holds its child element).
+    Each factor is a tuple (kind, radius, bound, *data) with kind one of word
+    (whose data holds its generator letters in the order they act), shift,
+    tau, sigma, ret and dbl (whose data holds its child element).
 
     radius: windows of this radius determine the cocycle.
     dbound: the cocycle never exceeds this in absolute value.
@@ -95,35 +95,12 @@ class FullGroupElement:
         if self.tag == "B":  # its plain letters, c one place on when it starts on a letter
             phase = letters[0] in ALPHABET
             letters, center = letters[1 - phase :: 2], center + phase
-        return self._eval(letters, center)
-
-    def _eval(self, letters: str, center: int) -> int:
-        """The cocycle at the marked vertex `center` of `letters`, a doubled
-        coordinate for tag B. Raises when the walk reads outside them, so the
-        result is exact for every window that extends `letters`."""
-        n, size = 0, 2 * len(letters) + 1 if self.tag == "B" else len(letters)
-        for f in self.factors:
-            c = center + n
-            if c < f[1] or c + f[1] > size:
-                raise InsufficientWindowError(
-                    f"window [{-center}, {size - center}) too small for a radius-{f[1]} "
-                    f"factor at displacement {n}"
-                )
-            if f[0] != "gen":
-                n += _step(f, letters, c)
-            elif not f[3]:  # a: cross the simple-edge block
-                n += 1 if letters[c] == "T" else -1
-            elif letters[c] != "T":  # b, c, d: stay on their loop, else cross
-                n += letters[c] != f[3]
-            elif letters[c - 1] != f[3]:  # a loop on the left stays put
-                n -= 1
-        if abs(n) > self.dbound:
-            raise RuntimeError(f"displacement {n} exceeds bound {self.dbound} for {self.label}")
-        return n
+        return _walker(self, letters)(letters, center)
 
 
 def _step(f: tuple, letters: str, center: int) -> int:
-    """The cocycle of one non-generator factor at the marked vertex `center`."""
+    """The cocycle of one compiled factor other than a word at the marked
+    vertex `center`; a dbl factor holds its child's walk."""
     kind = f[0]
     if kind == "shift":
         return f[3]
@@ -147,39 +124,40 @@ def _step(f: tuple, letters: str, center: int) -> int:
             f"no return of {u!r} within bound {bound}; widen the recurrence bound"
         )
     if kind == "dbl":  # copy 1 acts at the odd c, copy 2 at the even ones
-        return 2 * f[4]._eval(letters, center >> 1) if center & 1 == (f[3] == 1) else 0
+        return 2 * f[4](letters, center >> 1) if center & 1 == (f[3] == 1) else 0
     raise AssertionError(f"unknown kind {kind}")
 
 
 @lru_cache(maxsize=64)
 def _moves(j: str) -> dict[str, list[int]]:
     """Where each generator moves each vertex 0..len(j) of the half-line graph
-    read off the junction word j, by the rule of `_eval`: one list for a
-    (key "") and one for each block symbol that b, c or d loops on. The end
-    vertices 0 and len(j), where `_eval` raises, go to the sink len(j) + 1,
-    past the end of every list, so the next lookup raises and no index is
-    negative. The entries are the objects of one range list, shared."""
+    read off the word j, keyed by generator letter: a crosses the simple-edge
+    block T; b, c and d stay on a double-edge block of their loop symbol
+    (`GEN_SYMBOL`) and cross any other. The end
+    vertices 0 and len(j), which a move would read past, go to the sink
+    len(j) + 1, past the end of every list, so the next lookup raises and no
+    index is negative. The entries are the objects of one range list, shared."""
     v = list(range(len(j) + 2))
     sink, inner = v[-1], list(zip(v, v[1:], v[2:], j, j[1:]))  # c - 1, c, c + 1, j[c - 1], j[c]
-    moves = {"": [sink, *(n if x == "T" else p for p, _, n, _, x in inner), sink]}
-    for s in "012":
-        moves[s] = [sink, *((c if x == s else n) if x != "T" else (c if y == s else p)
+    moves = {"a": [sink, *(n if x == "T" else p for p, _, n, _, x in inner), sink]}
+    for g, s in GEN_SYMBOL.items():
+        s = str(s)
+        moves[g] = [sink, *((c if x == s else n) if x != "T" else (c if y == s else p)
                             for p, c, n, y, x in inner), sink]
     return moves
 
 
 def _walker(e: FullGroupElement, j: str) -> Callable[[str, int], int]:
-    """`e._eval` on the junction word j, for walks from many centres of it:
-    e's program compiled once, each run of generator factors a list of j's
-    `_moves` tables, walked by one lookup per letter; other factors go
-    through `_step` with `_eval`'s bounds, tag B in doubled coordinates."""
-    size, program = 2 * len(j) + 1 if e.tag == "B" else len(j), []
-    for is_gen, run in groupby(e.factors, lambda f: f[0] == "gen"):
-        if is_gen:
-            moves = _moves(j)
-            program.append([moves[f[3]] for f in run])
-        else:
-            program += run
+    """e's cocycle at any centre of the word j, which raises when the walk
+    reads outside j, so it is exact for every window that j extends: e's
+    program compiled once for j, each word factor a list of j's `_moves`
+    tables walked by one lookup per letter, each dbl child compiled in j, and
+    the other factors stepped by `_step` within their radius; tag B in
+    doubled coordinates."""
+    size = 2 * len(j) + 1 if e.tag == "B" else len(j)
+    program = [list(map(_moves(j).__getitem__, f[3])) if f[0] == "word"
+               else (*f[:4], _walker(f[4], j)) if f[0] == "dbl" else f
+               for f in e.factors]
 
     def walk(letters: str, center: int) -> int:  # letters is j
         c = center
@@ -205,18 +183,13 @@ def _walker(e: FullGroupElement, j: str) -> Callable[[str, int], int]:
     return walk
 
 
-def _gen(letter: str) -> tuple:
-    """The generator factor; b, c, d carry the block symbol they loop on."""
-    return ("gen", 1, 1, str(GEN_SYMBOL[letter]) if letter != "a" else "")
-
-
-_GEN = {ch: _gen(ch) for ch in "abcd"}
-
-
 def _inverse_factor(f: tuple) -> tuple:
-    """gen, tau and sigma are involutions; shift and ret step the other way."""
+    """A word runs its involutive letters backwards; tau and sigma are
+    involutions; shift and ret step the other way."""
     if f[0] == "dbl":
         return double_element(inverse(f[4]), f[3]).factors[0]
+    if f[0] == "word":
+        return f[:-1] + (f[-1][::-1],)
     return f[:-1] + (-f[-1],) if f[0] in ("shift", "ret") else f
 
 
@@ -261,18 +234,19 @@ def elements_equal(g: FullGroupElement, h: FullGroupElement) -> bool:
 
 
 def embed_word(word: str, omega: OmegaSequence) -> FullGroupElement:
-    """The image of a generator word, rightmost letter acting first. The label
-    is the left-nested product ((a b) c). A generator translates toward the
-    side whose block carries its edge at the marked vertex, or stays put on a
+    """The image of a generator word: one word factor holding its letters in
+    the order they act, rightmost first. n letters from displacement D read
+    and move at most D + n, so the factor has radius and bound n. The label is
+    the left-nested product ((a b) c). A generator translates toward the side
+    whose block carries its edge at the marked vertex, or stays put on a
     loop."""
     _check_word(word)
     _require_not_constant(omega)
     if not word:
         return identity_element(omega)
-    factors = map(_GEN.__getitem__, reversed(word))
     # "a) b) c)" less its first ")", behind "((": "((a b) c)"
     label = "(" * (len(word) - 1) + (") ".join(word) + ")").replace(")", "", 1)
-    return FullGroupElement(omega, "A", factors, label=label)
+    return FullGroupElement(omega, "A", (("word", len(word), len(word), word[::-1]),), label=label)
 
 
 def element_order_fg(e: FullGroupElement, max_order: int) -> int | None:
@@ -284,7 +258,7 @@ def element_order_fg(e: FullGroupElement, max_order: int) -> int | None:
     such a c, and j is admissible, so a walk inside j is exact even past
     [c - r, c + r); one that leaves j raises and r doubles. Reading order is
     free: a return settles every wider window, and a failure stays failed.
-    The walks in a j of more than `_FEW_CENTRES` centres share one `_walker`."""
+    The walks in one j share one `_walker`."""
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
     widest, r, doubled = e.radius + (max_order - 1) * e.dbound, 1, e.tag == "B"
@@ -294,7 +268,7 @@ def element_order_fg(e: FullGroupElement, max_order: int) -> int | None:
         try:
             for j in _junctions(e.omega, _level_for(r if doubled else 2 * r)):
                 size = 2 * len(j) + 1 if doubled else len(j)
-                walk = _walker(e, j) if size - 2 * r + 1 > _FEW_CENTRES else e._eval
+                walk = _walker(e, j)
                 for c in range(r, size - r + 1):
                     n, t = walk(j, c), 1
                     while n and t < max_order:
@@ -312,19 +286,24 @@ def element_order_fg(e: FullGroupElement, max_order: int) -> int | None:
             r *= 2
 
 
-def schreier_window(omega: OmegaSequence, center: int, radius: int) -> Window:
-    """The radius-r window of the half-line graph around vertex `center`: the
-    block-word letters from position first = center - r + 1 on. Those 2r
-    positions meet at most one multiple of 2^m >= 2r; around the least one q
-    from first on the block word reads B_m s B_m, s its letter at q."""
+def _junction_at(omega: OmegaSequence, center: int, radius: int) -> tuple[str, int]:
+    """The junction word around the radius-r window of vertex `center`, and
+    the vertex's index in it. The window's 2r block-word letters, from
+    position first = center - r + 1 on, meet at most one multiple of
+    2^m >= 2r; around the least one q from first on the block word reads
+    B_m s B_m, s its letter at q, at index len(B_m)."""
     if center < radius:
         raise ValueError("window would leave the half-line")
-    first, m = center - radius + 1, _level_for(2 * radius)
-    q = ((first - 1 >> m) + 1) << m
+    m = _level_for(2 * radius)
+    q = ((center - radius >> m) + 1) << m
     block = _block_word(omega, m)
-    junction = f"{block}{omega.at(ruler_a(q >> 1))}{block}"  # q at index len(block)
-    start = first - q + len(block)
-    return Window(radius, junction[start : start + 2 * radius])
+    return f"{block}{omega.at(ruler_a(q >> 1))}{block}", center + 1 - q + len(block)
+
+
+def schreier_window(omega: OmegaSequence, center: int, radius: int) -> Window:
+    """The radius-r window of the half-line graph around vertex `center`."""
+    junction, c = _junction_at(omega, center, radius)
+    return Window(radius, junction[c - radius : c + radius])
 
 
 def witness_window(e: FullGroupElement, vertex: str) -> Window | None:
@@ -339,9 +318,9 @@ def witness_window(e: FullGroupElement, vertex: str) -> Window | None:
     for t in range(max(0, (reach + 1).bit_length() - len(vertex)), 64):
         j = gray_rank(vertex if t == 0 else vertex + "1" * (t - 1) + "0")
         if j > reach:
-            window = schreier_window(e.omega, j, r)
-            if e.cocycle(window) != 0:
-                return window
+            junction, c = _junction_at(e.omega, j, r)
+            if _walker(e, junction)(junction, c) != 0:
+                return Window(r, junction[c - r : c + r])
     return None
 
 
@@ -362,11 +341,11 @@ def schreier_consistency(word: str, omega: OmegaSequence, j: int) -> bool:
     if j <= len(word):
         raise ValueError("need j > |word| to stay clear of the basepoint")
     e = embed_word(word, omega)
-    window = schreier_window(omega, j, e.radius)
+    junction, c = _junction_at(omega, j, e.radius)
     # The ray as a vertex padded with |word| + 1 ones: each letter changes at
     # most one digit, at most one place past the last 0, so none reads the end.
     p = apply_word(word, ray_at(j).prefix + "1" * (len(word) + 1), omega).rstrip("1")
-    return e.cocycle(window) == gray_rank(p) - j
+    return _walker(e, junction)(junction, c) == gray_rank(p) - j
 
 
 def _joint_occurrence(u: str, k: int, omega: OmegaSequence) -> bool:

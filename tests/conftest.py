@@ -5,8 +5,9 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from grigorchuk import OmegaSequence, parse_omega, ruler_a
-from grigorchuk.fullgroup import InsufficientWindowError
-from grigorchuk.group import _partner
+from grigorchuk.fullgroup import InsufficientWindowError, _step
+from grigorchuk.group import GEN_SYMBOL, _partner
+from grigorchuk.schreier import _block_word
 from grigorchuk.subshift import MARKER, _junctions, _level_for, _windows
 
 settings.register_profile(
@@ -67,15 +68,50 @@ def doubled_junctions(omega: OmegaSequence, m: int) -> list[str]:
     return [MARKER + MARKER.join(j) + MARKER for j in _junctions(omega, m)]
 
 
+LOOP_SYMBOL = {g: str(s) for g, s in GEN_SYMBOL.items()}
+
+
+def plain_eval(e, letters: str, center: int) -> int:
+    """Oracle for `fullgroup._walker`: the cocycle at the marked vertex
+    `center` of `letters`, a doubled coordinate for tag B, factor by factor
+    and a word factor letter by letter, each generator by its rule on the
+    letters: a crosses the simple-edge block T, and b, c, d stay on a loop of
+    their block symbol and cross any other. Raises when the walk reads outside
+    the letters. A dbl child is read in the same letters at vertex c >> 1."""
+    n, size = 0, 2 * len(letters) + 1 if e.tag == "B" else len(letters)
+    for f in e.factors:
+        kind, radius = f[0], 1 if f[0] == "word" else f[1]
+        for g in f[3] if kind == "word" else [None]:
+            c = center + n
+            if c < radius or c + radius > size:
+                raise InsufficientWindowError(
+                    f"letters [{-center}, {size - center}) too small for a radius-{radius} "
+                    f"factor at displacement {n}"
+                )
+            if kind == "dbl":  # copy 1 acts at the odd c, copy 2 at the even ones
+                n += 2 * plain_eval(f[4], letters, c >> 1) if c & 1 == (f[3] == 1) else 0
+            elif kind != "word":
+                n += _step(f, letters, c)
+            elif g == "a":  # cross the simple-edge block
+                n += 1 if letters[c] == "T" else -1
+            elif letters[c] != "T":  # b, c, d: stay on their loop, else cross
+                n += letters[c] != LOOP_SYMBOL[g]
+            elif letters[c - 1] != LOOP_SYMBOL[g]:  # a loop on the left stays put
+                n -= 1
+    if abs(n) > e.dbound:
+        raise RuntimeError(f"displacement {n} exceeds bound {e.dbound} for {e.label}")
+    return n
+
+
 def letter_eval(e, letters: str, center: int) -> int:
     """Oracle for the walks of a doubled element (tag B): its cocycle at the
     vertex `center` of `letters`, spelled with markers interleaved, read off
     the letters. tau steps forward off a marker and back onto one, and a dbl
     copy acts when the letter at 0 is plain for copy 1, the marker for copy 2,
     as twice its child's cocycle on a strided slice of 4 r plain letters. A
-    plain element is read by its own `_eval`."""
+    plain element is read by `plain_eval`."""
     if e.tag == "A":
-        return e._eval(letters, center)
+        return plain_eval(e, letters, center)
     n, size = 0, len(letters)
     for f in e.factors:
         c = center + n
@@ -86,10 +122,23 @@ def letter_eval(e, letters: str, center: int) -> int:
         elif (letters[c] != MARKER) == (f[3] == 1):  # a dbl copy on this phase
             rc = f[4].radius
             start = c - 2 * rc + (f[3] == 2)
-            n += 2 * f[4]._eval(letters[start : start + 4 * rc : 2], rc)
+            n += 2 * plain_eval(f[4], letters[start : start + 4 * rc : 2], rc)
     if abs(n) > e.dbound:
         raise RuntimeError(f"displacement {n} exceeds bound {e.dbound} for {e.label}")
     return n
+
+
+def window_cut(omega: OmegaSequence, center: int, radius: int) -> str:
+    """Oracle for `fullgroup._junction_at`: the letters of the radius-r window
+    around vertex `center`, cut from the junction word B_m s B_m around the
+    least multiple q of 2^m >= 2r from its first position on, s the block
+    word's letter at q."""
+    first, m = center - radius + 1, _level_for(2 * radius)
+    q = ((first - 1 >> m) + 1) << m
+    block = _block_word(omega, m)
+    junction = f"{block}{omega.at(ruler_a(q >> 1))}{block}"  # q at index len(block)
+    start = first - q + len(block)
+    return junction[start : start + 2 * radius]
 
 
 def spots_by_sort(words, n: int) -> list[tuple[str, int]]:

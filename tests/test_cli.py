@@ -485,3 +485,47 @@ def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["graph"])  # --omega missing
     assert exc.value.code == 2
+
+
+# Every accepted input ends in an exit code: the omega spellings below (valid,
+# empty, malformed, out of alphabet, repeated, eventually constant, a long
+# preperiod) crossed with edge values of eight subcommands.
+SWEEP_OMEGAS = ("012", "", ":", "3", "012012", "1:01", "0:1", "2" * 30 + ":01", "10:012", "2:01",
+                "0:", ":0", "01:", "a")
+SWEEP_ARGS = (
+    *(("embed", word) for word in ("", "e", "abz", "abacabad")),
+    ("embed", "a", "--dump"), ("embed", "abcd", "--dump"),
+    *(("word", word) for word in ("", "e", "abz", "abcd")),
+    *(("word", "ab", "--order", "--max-order", k) for k in ("0", "64")),
+    ("word", "abacab", "--embed-check"),
+    *(("double", "--max-n", k) for k in ("-1", "0", "8", "x")),
+    ("double", "--max-n", "2", "--words", "0"), ("double", "--max-n", "2", "--words", "6"),
+    *(("language", "--n", k) for k in ("-1", "0", "1", "9", "1e3")),
+    ("language", "--n", "4", "--format", "json"),
+    *(("complexity", "--max-n", k) for k in ("-1", "0", "16", " 2")),
+    ("complexity", "--max-n", "3", "--format", "json"),
+    *(("orbit", "--count", k) for k in ("-1", "0", "1", "16", "٣")),
+    *(("ball", "--max-n", k) for k in ("-1", "0", "3", "x")),
+    *(("graph", "--level", k) for k in ("-1", "0", "3")),
+    ("graph", "--level", "3", "--format", "json"), ("graph", "--vertices", "0"),
+    ("graph", "--vertices", "9", "--with-xi"), ("graph", "--level", "4", "--oracle"),
+)
+
+
+def test_sweep_ends_in_an_exit_code(capsys):
+    # 644 argv in process: each exits 0-3 with nothing raised out of `main`
+    # (argparse's own exit 2 included), and exits 2 and 3 say why on stderr
+    assert len(SWEEP_OMEGAS) * len(SWEEP_ARGS) == 644
+    codes = {}
+    for spec in SWEEP_OMEGAS:
+        for command, *rest in SWEEP_ARGS:
+            argv = [command, "--omega", spec, *rest]
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2, 3), argv
+            assert code < 2 or "error:" in err or "unsupported:" in err, (argv, err)
+            codes[code] = codes.get(code, 0) + 1
+    assert set(codes) >= {0, 2, 3}, codes

@@ -44,13 +44,15 @@ from grigorchuk import (
     witness_window,
 )
 from grigorchuk import fullgroup, group
-from grigorchuk.fullgroup import InsufficientWindowError, _gen, _moves, _walker
+from grigorchuk.fullgroup import InsufficientWindowError, _junction_at, _moves, _walker
 from grigorchuk.group import find_moved_vertex
 from grigorchuk.omega import EventuallyConstantOmegaError
 from grigorchuk.schreier import _block_word
 from grigorchuk.subshift import _junctions, _level_for, _windows
 
-from conftest import ORACLE_SPECS, block_letters, doubled_junctions, language, letter_eval, spots_by_sort
+from conftest import (
+    ORACLE_SPECS, block_letters, doubled_junctions, language, letter_eval, plain_eval, spots_by_sort, window_cut,
+)
 
 words = st.text(alphabet="abcd", max_size=8)
 DEEP_PREPERIOD = "2" * 60 + ":01"
@@ -161,9 +163,9 @@ class TestComposeInverse:
         g, h = embed_word(w1, omega012), embed_word(w2, omega012)
         gh = compose(g, h)
         for letters in sorted(language(omega012, 2 * gh.radius))[:40]:
-            nh = h._eval(letters, gh.radius)
-            ng = g._eval(letters, gh.radius + nh)
-            assert gh._eval(letters, gh.radius) == nh + ng
+            nh = plain_eval(h, letters, gh.radius)
+            ng = plain_eval(g, letters, gh.radius + nh)
+            assert gh.cocycle(Window(gh.radius, letters)) == plain_eval(gh, letters, gh.radius) == nh + ng
 
     def test_inverse_examples(self, omega012):
         b = embed_word("b", omega012)
@@ -184,8 +186,9 @@ class TestComposeInverse:
         inv = inverse(e)
         radius = max(e.radius + e.dbound, inv.radius)
         for letters in sorted(language(omega012, 2 * radius))[:25]:
-            n = e._eval(letters, radius)
-            assert inv._eval(letters, radius + n) == -n
+            n = plain_eval(e, letters, radius)
+            assert plain_eval(inv, letters, radius + n) == -n
+            assert _walker(inv, letters)(letters, radius + n) == -n
 
     def test_alphabet_mismatch_rejected(self, omega012):
         with pytest.raises(ValueError):
@@ -275,10 +278,17 @@ def fold_by_unpack(factors):
 
 
 class TestElementConstructor:
-    def test_factors_from_the_generator_table(self, omega012):
+    def test_one_word_factor(self, omega012):
+        # the letters in the order they act, with the radius and bound of the
+        # program of one-letter factors (radius 1, bound 1 each) it replaces
         rng = random.Random(12)
         for word in ["a", "b", "c", "d", *("".join(rng.choices("abcd", k=n)) for n in range(2, 40))]:
-            assert embed_word(word, omega012).factors == tuple(_gen(ch) for ch in reversed(word))
+            e = embed_word(word, omega012)
+            assert e.factors == (("word", len(word), len(word), word[::-1]),)
+            assert (e.radius, e.dbound) == fold_by_unpack([(ch, 1, 1) for ch in reversed(word)])
+            shifted = compose(e, shift_power(-3, omega012))
+            assert (shifted.radius, shifted.dbound) == fold_by_unpack(
+                [("shift", 1, 3), *((ch, 1, 1) for ch in reversed(word))])
 
     def test_labels_across_the_cut(self, omega012):
         # a label of n letters has 4n - 3 characters: 30 letters fit in 120
@@ -375,10 +385,10 @@ def walk_outcomes(walk, centers):
 
 
 class TestMoveTables:
-    """element_order_fg and dump_element walk the generators by `_moves`
-    tables; the per-letter `_eval` is their reference at every centre of the
-    junction words, one off each end included. Each family of words is spread
-    over the suite, one omega per word in turn."""
+    """Every walk reads the generators off `_moves` tables; the per-letter
+    oracle `plain_eval` is their reference at every centre of the junction
+    words, one off each end included. Each family of words is spread over the
+    suite, one omega per word in turn."""
 
     @staticmethod
     def _assert_walks_match(elements, levels):
@@ -387,7 +397,7 @@ class TestMoveTables:
             for m in levels:
                 for j in _junctions(e.omega, m):
                     centers = range(-1, len(j) + 2)
-                    expected = walk_outcomes(partial(e._eval, j), centers)
+                    expected = walk_outcomes(partial(plain_eval, e, j), centers)
                     assert walk_outcomes(partial(_walker(e, j), j), centers) == expected, (e.omega.spec(), m, e.label)
                     left += expected.count(None)
         assert left  # some walks reach an end vertex
@@ -399,8 +409,8 @@ class TestMoveTables:
                     sink, moves = len(j) + 1, _moves(j)
                     for g in "abcd":
                         moved = [sink if d is None else c + d for c, d in
-                                 enumerate(walk_outcomes(partial(embed_word(g, w)._eval, j), range(len(j) + 1)))]
-                        assert moves[_gen(g)[3]] == moved, (w.spec(), m, g)
+                                 enumerate(walk_outcomes(partial(plain_eval, embed_word(g, w), j), range(len(j) + 1)))]
+                        assert moves[g] == moved, (w.spec(), m, g)
 
     def test_words_of_at_most_four_letters(self, suite):
         # a walk of 4 letters reads at most 8 letters around its centre, and
@@ -443,7 +453,7 @@ class TestMoveTables:
         # where the second a would read the letter before the word
         j = _junctions(omega012, 2)[0]
         e = embed_word("aa", omega012)
-        for evaluate in (partial(e._eval, j), partial(_walker(e, j), j)):
+        for evaluate in (partial(plain_eval, e, j), partial(_walker(e, j), j)):
             assert evaluate(2) == 0
             with pytest.raises(InsufficientWindowError):
                 evaluate(1)
@@ -500,7 +510,7 @@ def witness_by_scan(word, omega):
         j = gray_rank(prefix)
         if j > max(len(word), r):
             window = schreier_window(omega, j, r)
-            if e.cocycle(window) != 0:
+            if plain_eval(e, window.letters, r) != 0:
                 return window
     raise RuntimeError(f"no witness found for nontrivial word {word!r}")
 
@@ -705,7 +715,7 @@ class TestSwapInvolutions:
         u, s = setup
         sigma = s[0, 1]
         for letters in language(omega012, 2 * sigma.radius):
-            n = sigma._eval(letters, sigma.radius)
+            n = plain_eval(sigma, letters, sigma.radius)
             in_u = letters[sigma.radius : sigma.radius + len(u)] == u
             in_phi_u = letters[sigma.radius - 1 : sigma.radius - 1 + len(u)] == u
             if in_u:
@@ -741,7 +751,7 @@ class TestFirstReturn:
         r1 = compose(shift_power(1, omega012), compose(r0, shift_power(-1, omega012)))
         # support of r1 is the shifted cylinder: u one position to the left
         for letters in language(omega012, 2 * r1.radius):
-            n = r1._eval(letters, r1.radius)
+            n = plain_eval(r1, letters, r1.radius)
             if letters[r1.radius - 1 : r1.radius - 1 + len(u)] != u:
                 assert n == 0
 
@@ -802,7 +812,7 @@ class TestDoubledSystem:
 
     def test_walks_match_the_marker_letters(self):
         # tag-B walks read the plain junction words in doubled coordinates, by
-        # `_eval` and by `_walker`; the marker-letter oracle reads the doubled
+        # `plain_eval` and by `_walker`; the marker-letter oracle reads the doubled
         # junction words. They agree at every vertex of levels 1-5, one off
         # each end included, on the value or on InsufficientWindowError.
         rng = random.Random(45)
@@ -821,7 +831,7 @@ class TestDoubledSystem:
                     centers = range(-1, len(doubled) + 2)
                     for e in elements:
                         expected = walk_outcomes(partial(letter_eval, e, doubled), centers)
-                        assert walk_outcomes(partial(e._eval, j), centers) == expected, (spec, m, e.label)
+                        assert walk_outcomes(partial(plain_eval, e, j), centers) == expected, (spec, m, e.label)
                         assert walk_outcomes(partial(_walker(e, j), j), centers) == expected, (spec, m, e.label)
                         outcomes.update(n if n is None else n != 0 for n in expected)
         assert outcomes == {None, False, True}  # walks leave, stay put and move
@@ -885,7 +895,7 @@ class TestDump:
             assert len(rows) == complexity(e.omega, 2 * e.radius)
             for row in rows[::stride]:
                 window, _, value = row.split()
-                assert int(value) == e.cocycle(Window(e.radius, window)), (spec, word, window)
+                assert int(value) == plain_eval(e, window, e.radius), (spec, word, window)
 
     def test_dump_matches_the_sort_of_every_start(self, suite):
         # byte for byte the table over the sort of every window start in the
@@ -947,3 +957,35 @@ class TestSchreierWindow:
     def test_rejects_overhang(self, omega012):
         with pytest.raises(ValueError):
             schreier_window(omega012, 1, 2)
+
+    def test_battery_places_in_their_junction_words(self, suite):
+        # the consistency pairs and witness pushes of the battery's first
+        # draws: the junction word and index that `_junction_at` gives hold
+        # the window that the old cut gave, and the walk there reads the
+        # cocycle of that window
+        caps, places = battery.Caps(), []
+        for w in suite:
+            rng = battery._rng(battery.DEFAULT_SEED, "schreier", w.spec())
+            for _ in range(30):
+                word = battery._random_word(rng, caps.schreier_len)
+                places.append((embed_word(word, w), rng.randint(len(word) + 1, caps.schreier_vertex_max)))
+            rng = battery._rng(battery.DEFAULT_SEED, "embed", w.spec())
+            for _ in range(12):
+                word = battery._random_word(rng, caps.embed_len)
+                e, vertex = embed_word(word, w), find_moved_vertex(word, w)
+                for t in range(64 if vertex else 0):
+                    j = gray_rank(vertex if t == 0 else vertex + "1" * (t - 1) + "0")
+                    if j > e.radius:
+                        places.append((e, j))
+                        if plain_eval(e, window_cut(w, j, e.radius), e.radius):
+                            break
+        moved = 0
+        for e, j in places:
+            r = e.radius
+            junction, c = _junction_at(e.omega, j, r)
+            window = window_cut(e.omega, j, r)
+            assert junction[c - r : c + r] == window, (e.omega.spec(), e.label, j)
+            n = _walker(e, junction)(junction, c)
+            assert n == plain_eval(e, window, r), (e.omega.spec(), e.label, j)
+            moved += n != 0
+        assert 0 < moved < len(places)
